@@ -68,6 +68,7 @@ class DeResult:
 
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # Fold back at the faces; repeat for large excursions, clip as a last resort.
+    # Element-wise, so one point (d,) or a population (n, d) gives the same values.
     for _ in range(8):
         below, above = x < lo, x > hi
         if not (below.any() or above.any()):
@@ -105,18 +106,21 @@ def de_minimize(objective, bounds, cfg: DeConfig, vectorized: bool = False) -> D
     evaluations = n_pop
     history = [float(vals.min())]
 
+    rows = np.arange(n_pop)[:, None]
+    picks = np.empty((n_pop, 3), dtype=np.int64)
+    cross = np.empty((n_pop, d), dtype=bool)
     generations = 0
     for _ in range(cfg.max_generations):
         generations += 1
-        trials = np.empty_like(pop)
+        # Per-individual draws in a fixed order (parents, crossover mask, forced
+        # gene); the arithmetic on them then runs on the whole population.
         for i in range(n_pop):
-            pick = rng.choice(n_pop - 1, size=3, replace=False)
-            pick[pick >= i] += 1
-            mutant = pop[pick[0]] + cfg.mutation * (pop[pick[1]] - pop[pick[2]])
-            mutant = _reflect(mutant, lo, hi)
-            cross = rng.random(d) < cfg.crossover
-            cross[rng.integers(d)] = True
-            trials[i] = np.where(cross, mutant, pop[i])
+            picks[i] = rng.choice(n_pop - 1, size=3, replace=False)
+            cross[i] = rng.random(d) < cfg.crossover
+            cross[i, rng.integers(d)] = True
+        parents = picks + (picks >= rows)  # skip the individual itself
+        mutants = pop[parents[:, 0]] + cfg.mutation * (pop[parents[:, 1]] - pop[parents[:, 2]])
+        trials = np.where(cross, _reflect(mutants, lo, hi), pop)
         trial_vals = _scores(objective, trials, vectorized)
         evaluations += n_pop
         better = trial_vals <= vals

@@ -18,6 +18,7 @@ import select
 import shlex
 import subprocess
 import threading
+import time
 
 import numpy as np
 
@@ -56,11 +57,12 @@ class ExternalDiscipline:
             raise DisciplineFailure(f"could not start {self.command!r}: {exc}", kind="crash") from exc
 
     def _read_line(self) -> bytes:
-        deadline = self.timeout
+        # One deadline for the whole line, so a child trickling bytes still times out.
+        deadline = time.monotonic() + self.timeout
         fd = self._proc.stdout.fileno()
         while b"\n" not in self._buffer:
-            ready, _, _ = select.select([fd], [], [], deadline)
-            if not ready:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0 or not select.select([fd], [], [], remaining)[0]:
                 raise DisciplineFailure(f"no response within {self.timeout:g} s", kind="timeout")
             chunk = self._proc.stdout.read(65536)
             if not chunk:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, optimize
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "GpFitError",
@@ -135,15 +136,32 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     return params.signal_variance * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
 
 
+def _require_finite(X: np.ndarray, y: np.ndarray) -> None:
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("training inputs and targets must be finite")
+
+
 def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w = linalg.solve_triangular(L, b, lower=True)
-    return linalg.solve_triangular(L.T, w, lower=False)
+    """Solve (L L^T) x = b for a lower Cholesky factor ``L``.
+
+    Calls LAPACK's triangular solve directly, as ``linalg.solve_triangular``
+    does for a C-ordered factor (solving with ``L.T`` stored upper), minus
+    its per-call validation: ``fit`` and ``log_marginal_likelihood`` check
+    their data for NaN and inf once, before any solve.
+    """
+    w, info = dtrtrs(L.T, b, lower=0, trans=1)
+    if info == 0:
+        x, info = dtrtrs(L.T, w, lower=0, trans=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+    return x
 
 
 def log_marginal_likelihood(params: KernelParams, X_norm: np.ndarray, y_std: np.ndarray) -> float:
     """Gaussian log marginal likelihood of standardized targets under ``params``."""
     X_norm = np.atleast_2d(np.asarray(X_norm, dtype=float))
     y_std = np.asarray(y_std, dtype=float).ravel()
+    _require_finite(X_norm, y_std)
     K = kernel_matrix(params, X_norm, X_norm)
     K[np.diag_indices_from(K)] += params.nugget
     L = np.linalg.cholesky(K)  # raises LinAlgError if not positive definite
@@ -251,6 +269,7 @@ def fit(
         raise ValueError("X and y disagree on the number of points")
     if X.shape[0] < 2:
         raise ValueError("need at least two training points")
+    _require_finite(X, y)
     rng = np.random.default_rng(rng)
 
     norm = _norm_stats(X, y)

@@ -148,23 +148,24 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> B
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
+        Z_act = Z[idx]
         y_act = y[idx]
         y_new = y_act.copy()
         failed = np.zeros(idx.size, dtype=bool)
-        for disc in disciplines:
-            try:
-                with np.errstate(all="ignore"):
-                    out = np.asarray(disc.fn(Z[idx], y_new[:, disc.consumes]), dtype=float)
-            except DisciplineFailure as exc:
-                failed[:] = True
-                failure_note = failure_note or f"discipline {disc.name!r}: {exc}"
-                break
-            out = out.reshape(idx.size, disc.produces.size)
-            bad = ~np.isfinite(out).all(axis=1)
-            if bad.any():
-                failed |= bad
-                failure_note = failure_note or f"discipline {disc.name!r} returned non-finite output"
-            y_new[:, disc.produces] = out
+        with np.errstate(all="ignore"):
+            for disc in disciplines:
+                try:
+                    out = np.asarray(disc.fn(Z_act, y_new[:, disc.consumes]), dtype=float)
+                except DisciplineFailure as exc:
+                    failed[:] = True
+                    failure_note = failure_note or f"discipline {disc.name!r}: {exc}"
+                    break
+                out = out.reshape(idx.size, disc.produces.size)
+                bad = ~np.isfinite(out).all(axis=1)
+                if bad.any():
+                    failed |= bad
+                    failure_note = failure_note or f"discipline {disc.name!r} returned non-finite output"
+                y_new[:, disc.produces] = out
 
         if failed.any():
             fidx = idx[failed]

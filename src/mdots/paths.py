@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
-from .gp import KernelParams, TrainedSurrogate, kernel_matrix
+from .gp import KernelParams, TrainedSurrogate, _solve_chol, kernel_matrix
 
 __all__ = ["FeatureMap", "PathSample", "sample_feature_map", "draw_path", "eval_path"]
 
@@ -65,7 +64,12 @@ def sample_feature_map(params: KernelParams, dim: int, n_features: int = DEFAULT
 
 
 def _prior_values(fm: FeatureMap, X_norm: np.ndarray) -> np.ndarray:
-    return fm.amplitude * (np.cos(X_norm @ fm.thetas.T + fm.taus) @ fm.weights)
+    # One (rows, n_features) buffer holds the phase and then its cosine; the
+    # values equal those of ``np.cos(X_norm @ thetas.T + taus)`` bit for bit.
+    phase = X_norm @ fm.thetas.T
+    phase += fm.taus
+    np.cos(phase, out=phase)
+    return fm.amplitude * (phase @ fm.weights)
 
 
 def draw_path(surrogate: TrainedSurrogate, n_features: int = DEFAULT_FEATURES, rng=None) -> PathSample:
@@ -80,8 +84,7 @@ def draw_path(surrogate: TrainedSurrogate, n_features: int = DEFAULT_FEATURES, r
     if surrogate.n:
         eps = rng.standard_normal(surrogate.n) * np.sqrt(surrogate.params.nugget)
         resid = surrogate.y_std - _prior_values(fm, surrogate.X_norm) - eps
-        w = linalg.solve_triangular(surrogate.chol, resid, lower=True)
-        v = linalg.solve_triangular(surrogate.chol.T, w, lower=False)
+        v = _solve_chol(surrogate.chol, resid)
     else:
         v = np.empty(0)
     v.setflags(write=False)

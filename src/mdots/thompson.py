@@ -139,8 +139,9 @@ def refine_discipline(sset: SurrogateSet, m: int, x_new, y_new, gp_cfg: GpConfig
 
 def _stacked(fns):
     def evaluator(Z, Yin):
-        X = np.hstack([np.atleast_2d(Z), np.atleast_2d(Yin)])
-        return np.column_stack([f(X) for f in fns])
+        X = np.concatenate([np.atleast_2d(Z), np.atleast_2d(Yin)], axis=1)
+        cols = [f(X) for f in fns]
+        return cols[0][:, None] if len(cols) == 1 else np.column_stack(cols)
 
     return evaluator
 

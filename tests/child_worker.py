@@ -10,6 +10,7 @@ Modes:
     garbage   write a non-JSON line
     wrong-id  respond with a mismatched id
     echo-keys report the sorted request keys in the message
+    trickle   answer as double, one byte every 50 ms
 """
 
 import json
@@ -30,7 +31,7 @@ def main():
             sys.stdout.flush()
             continue
         response = {"id": request["id"], "status": "ok", "y_out": [], "message": ""}
-        if mode == "double":
+        if mode in ("double", "trickle"):
             response["y_out"] = [2.0 * v for v in request["z"]]
         elif mode == "sum":
             response["y_out"] = [request["z"][0] + request["y_in"][0]]
@@ -42,6 +43,12 @@ def main():
         elif mode == "echo-keys":
             response["y_out"] = [0.0]
             response["message"] = ",".join(sorted(request.keys()))
+        if mode == "trickle":
+            for ch in json.dumps(response) + "\n":
+                sys.stdout.write(ch)
+                sys.stdout.flush()
+                time.sleep(0.05)
+            continue
         sys.stdout.write(json.dumps(response) + "\n")
         sys.stdout.flush()
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mdots.evolution import DeConfig, PenaltySpec, de_minimize, penalized_mdo_objective
+from mdots.evolution import DeConfig, DeResult, PenaltySpec, _reflect, _scores, de_minimize, penalized_mdo_objective
 from mdots.mda import MdaConfig
-from mdots.problems import Discipline, MdoProblem, sellar_problem, toy_problem
+from mdots.problems import Discipline, MdoProblem, lhs, sellar_problem, toy_problem
 
 SURROGATE_MDA = MdaConfig(tolerance=1e-2, max_iterations=100)
 TIGHT_MDA = MdaConfig(tolerance=1e-10, max_iterations=300)
@@ -14,7 +14,72 @@ def sphere(z):
     return (z**2).sum(axis=1)
 
 
+def de_minimize_loop(objective, bounds, cfg, vectorized=False):
+    """Reference: rand/1/bin with the variation written one individual at a time."""
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    d = bounds.shape[0]
+    n_pop = cfg.population or max(15 * d, 30)
+    rng = np.random.default_rng(cfg.seed)
+    pop = lhs(bounds, n_pop, rng)
+    vals = _scores(objective, pop, vectorized)
+    evaluations = n_pop
+    history = [float(vals.min())]
+    generations = 0
+    for _ in range(cfg.max_generations):
+        generations += 1
+        trials = np.empty_like(pop)
+        for i in range(n_pop):
+            pick = rng.choice(n_pop - 1, size=3, replace=False)
+            pick[pick >= i] += 1
+            mutant = pop[pick[0]] + cfg.mutation * (pop[pick[1]] - pop[pick[2]])
+            mutant = _reflect(mutant, lo, hi)
+            cross = rng.random(d) < cfg.crossover
+            cross[rng.integers(d)] = True
+            trials[i] = np.where(cross, mutant, pop[i])
+        trial_vals = _scores(objective, trials, vectorized)
+        evaluations += n_pop
+        better = trial_vals <= vals
+        pop[better] = trials[better]
+        vals[better] = trial_vals[better]
+        history.append(float(vals.min()))
+        if len(history) > cfg.window and history[-1 - cfg.window] - history[-1] < cfg.tol:
+            break
+    best = int(np.argmin(vals))
+    return DeResult(pop[best].copy(), float(vals[best]), np.asarray(history), generations, evaluations)
+
+
 class TestDeMinimize:
+    @pytest.mark.parametrize(
+        "bounds, cfg",
+        [
+            ([[-5.0, 5.0]] * 3, DeConfig(population=20, max_generations=60, seed=11)),
+            ([[-1.0, 3.0], [0.0, 0.5]], DeConfig(max_generations=80, crossover=0.3, seed=12)),
+            ([[2.0, 10.0], [-3.0, 3.0], [0.0, 10.0]], DeConfig(max_generations=300, seed=2_000_003)),
+            # A narrow box with the largest mutation factor folds mutants several
+            # times and leaves some to the final clip.
+            ([[0.0, 1e-3], [-1.0, 1.0]], DeConfig(population=12, mutation=2.0, max_generations=50, seed=13)),
+        ],
+    )
+    def test_population_variation_matches_per_individual_loop(self, bounds, cfg):
+        def shifted(z):
+            z = np.atleast_2d(z)
+            return ((z - 0.3) ** 2).sum(axis=1) + np.cos(3.0 * z).sum(axis=1)
+
+        got = de_minimize(shifted, bounds, cfg, vectorized=True)
+        want = de_minimize_loop(shifted, bounds, cfg, vectorized=True)
+        assert np.array_equal(got.z, want.z)
+        assert np.array_equal(got.history, want.history)
+        assert got.value == want.value
+        assert (got.generations, got.evaluations) == (want.generations, want.evaluations)
+
+    def test_narrow_box_reaches_the_final_clip(self):
+        lo, hi = np.array([0.0, -1.0]), np.array([1e-3, 1.0])
+        far = np.array([[0.5, 0.0], [-0.7, 0.2]])  # hundreds of box widths out
+        single = np.vstack([_reflect(row, lo, hi) for row in far])
+        assert np.array_equal(_reflect(far, lo, hi), single)
+        assert np.all((single >= lo) & (single <= hi))
+
     def test_sphere_reaches_global_minimum(self):
         cfg = DeConfig(population=30, max_generations=200, seed=1)
         result = de_minimize(sphere, [[-5.0, 5.0]] * 3, cfg, vectorized=True)

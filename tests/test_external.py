@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ class TestProtocol:
             out = ev(np.array([[1.0]]), np.zeros((1, 0)))
             assert np.isnan(out).all()
             assert ev.last_error.kind == "timeout"
+
+    def test_timeout_is_a_deadline_for_the_whole_line(self):
+        # The full reply takes ~3 s to trickle out; no single byte waits 0.5 s.
+        with external_discipline(child("trickle"), timeout=0.5) as ev:
+            t0 = time.monotonic()
+            out = ev(np.array([[1.0]]), np.zeros((1, 0)))
+            elapsed = time.monotonic() - t0
+            assert np.isnan(out).all()
+            assert ev.last_error is not None and ev.last_error.kind == "timeout"
+        assert elapsed < 2.0
 
     def test_malformed_response(self):
         with external_discipline(child("garbage")) as ev:

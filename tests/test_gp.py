@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from mdots.gp import (
     GpFitError,
     KernelParams,
     NormStats,
+    _solve_chol,
     fit,
     kernel_eval,
     log_marginal_likelihood,
@@ -128,6 +130,20 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([[0.0]], [1.0], rng=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_rejects_non_finite_data(self, bad, where):
+        X = np.array([[0.0, 1.0], [0.5, 0.2], [1.0, 0.7]])
+        y = np.array([0.3, -0.1, 0.8])
+        if where == "X":
+            X[1, 0] = bad
+        else:
+            y[2] = bad
+        with pytest.raises(ValueError):
+            fit(X, y, rng=0)
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(KernelParams([1.0, 1.0], 1.0, 1e-7), X, y)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(size=(12, 2))
@@ -207,6 +223,24 @@ class TestFit:
         monkeypatch.setattr(gp_mod, "kernel_matrix", lambda *a, **k: np.array([[0.0, 5.0], [5.0, 0.0]]))
         with pytest.raises(GpFitError):
             gp_mod._chol_with_escalation(params, np.zeros((2, 1)))
+
+
+class TestSolveChol:
+    @pytest.mark.parametrize("n", [1, 2, 7, 15])
+    def test_matches_solve_triangular_pair(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        L = np.linalg.cholesky(A @ A.T + 1e-3 * np.eye(n))
+        for b in (rng.standard_normal(n), np.eye(n)):
+            want = linalg.solve_triangular(L.T, linalg.solve_triangular(L, b, lower=True), lower=False)
+            got = _solve_chol(L, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_singular_factor_raises(self):
+        L = np.array([[1.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_chol(L, np.ones(2))
 
 
 class TestPosterior:

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from mdots.gp import KernelParams, fit, posterior_mean, posterior_variance, prior_surrogate
+from mdots.gp import KernelParams, fit, kernel_matrix, posterior_mean, posterior_variance, prior_surrogate
 from mdots.paths import draw_path, eval_path, sample_feature_map
 
 
@@ -53,6 +53,21 @@ class TestFeatureMap:
 
 
 class TestEvalPath:
+    def test_matches_the_three_temporary_expression(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1.0, 2.0, size=(9, 3))
+        y = np.sin(X).sum(axis=1)
+        s = fit(X, y, rng=6)
+        path = draw_path(s, 1000, rng=7)
+        fm = path.features
+        for Xq in (rng.uniform(-1.0, 2.0, size=(45, 3)), rng.uniform(-1.0, 2.0, size=(1, 3))):
+            Xn = s.norm.normalize_inputs(Xq)
+            vals = fm.amplitude * (np.cos(Xn @ fm.thetas.T + fm.taus) @ fm.weights)
+            vals = vals + kernel_matrix(s.params, Xn, s.X_norm) @ path.update_coeffs
+            want = s.norm.output_mean + s.norm.output_std * vals
+            assert np.array_equal(eval_path(path, Xq), want)
+        assert eval_path(path, Xq[0]) == want[0]
+
     def test_purity(self):
         s, _, _ = make_surrogate()
         path = draw_path(s, 256, np.random.default_rng(5))
