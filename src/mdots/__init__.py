@@ -7,68 +7,32 @@ the coupled solve, trading off exploration and exploitation in both the
 design and the coupling variables.
 """
 
-from .evolution import DeConfig, DeResult, PenaltySpec, de_minimize, penalized_mdo_objective
-from .external import ExternalDiscipline, external_discipline, load_external_problem
-from .gp import (
-    GpFitError,
-    KernelParams,
-    NormStats,
-    TrainedSurrogate,
-    fit,
-    kernel_eval,
-    log_marginal_likelihood,
-    posterior_mean,
-    posterior_variance,
-    prior_surrogate,
-)
-from .mda import (
-    CouplingState,
-    DisciplineFailure,
-    MdaConfig,
-    MdaStatus,
-    aitken_update,
-    gauss_seidel_solve,
-    initial_coupling_guess,
-    solve_batch,
-)
-from .paths import FeatureMap, PathSample, draw_path, eval_path, sample_feature_map
-from .problems import (
-    Discipline,
-    MdoProblem,
-    ReferenceSolution,
-    TrainingSet,
-    initial_doe_training_sets,
-    lhs,
-    sellar_problem,
-    toy_problem,
-)
-from .study import (
-    ExperimentConfig,
-    StudySummary,
-    VariableStat,
-    replicate_seeds,
-    resolve_reference,
-    run_from_record,
-    run_replicate,
-    run_study,
-    summarize,
-)
+from .external import load_external_problem
+from .problems import Discipline, MdoProblem, ReferenceSolution, sellar_problem, toy_problem
 from .records import load_run_record, records_equal, save_run_record
-from .thompson import (
-    GpConfig,
-    IterationEntry,
-    RunConfig,
-    RunRecord,
-    Seeds,
-    SurrogateSet,
-    convergence_check,
-    fit_surrogate_set,
-    mean_evaluators,
-    path_evaluators,
-    refine_discipline,
-    run_mdo_ts,
-    solve_random_mdo,
-    solve_surrogate_mdo,
-)
+from .study import StudySummary, resolve_reference, run_from_record, run_replicate, run_study, summarize
+from .thompson import ExperimentConfig, RunRecord, convergence_check, run_mdo_ts
+
+__all__ = [
+    "ExperimentConfig",
+    "run_mdo_ts",
+    "RunRecord",
+    "convergence_check",
+    "run_replicate",
+    "run_study",
+    "run_from_record",
+    "resolve_reference",
+    "summarize",
+    "StudySummary",
+    "load_run_record",
+    "save_run_record",
+    "records_equal",
+    "Discipline",
+    "MdoProblem",
+    "ReferenceSolution",
+    "sellar_problem",
+    "toy_problem",
+    "load_external_problem",
+]
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import numpy as np
 from .mda import DisciplineFailure
 from .problems import Discipline, MdoProblem, ReferenceSolution
 
-__all__ = ["ExternalDiscipline", "external_discipline", "load_external_problem"]
+__all__ = ["ExternalDiscipline", "load_external_problem"]
 
 DEFAULT_TIMEOUT = 300.0
 
@@ -33,9 +33,9 @@ DEFAULT_TIMEOUT = 300.0
 class ExternalDiscipline:
     """Evaluator backed by a child process speaking the line protocol.
 
-    Calls are serialized with a lock (exclusive access by default). Batch
-    evaluation loops over rows; a row that fails is returned as NaN and the
-    diagnostic kept in ``last_error``.
+    Calls are serialized with a lock, so one request is in flight per child.
+    Batch evaluation loops over rows; a row that fails is returned as NaN
+    and the diagnostic kept in ``last_error``.
     """
 
     def __init__(self, command, *, timeout: float = DEFAULT_TIMEOUT, name: str = "external"):
@@ -157,11 +157,6 @@ class ExternalDiscipline:
             pass
 
 
-def external_discipline(command, *, timeout: float = DEFAULT_TIMEOUT, name: str = "external") -> ExternalDiscipline:
-    """Start a child solver and return its batch evaluator."""
-    return ExternalDiscipline(command, timeout=timeout, name=name)
-
-
 def load_external_problem(spec: dict | str) -> MdoProblem:
     """Build an MdoProblem from an external-problem spec (dict or JSON file path).
 
@@ -176,11 +171,9 @@ def load_external_problem(spec: dict | str) -> MdoProblem:
             spec = json.load(fh)
     disciplines = []
     for k, d in enumerate(spec["disciplines"]):
-        ev = external_discipline(d["cmd"], timeout=d.get("timeout", DEFAULT_TIMEOUT), name=f"external_{k}")
-        disciplines.append(
-            Discipline(ev.name, produces=d["produces"], consumes=d["consumes"], fn=ev, exclusive=True)
-        )
-    obj = external_discipline(spec["objective_cmd"], timeout=spec.get("timeout", DEFAULT_TIMEOUT), name="objective")
+        ev = ExternalDiscipline(d["cmd"], timeout=d.get("timeout", DEFAULT_TIMEOUT), name=f"external_{k}")
+        disciplines.append(Discipline(ev.name, produces=d["produces"], consumes=d["consumes"], fn=ev))
+    obj = ExternalDiscipline(spec["objective_cmd"], timeout=spec.get("timeout", DEFAULT_TIMEOUT), name="objective")
 
     def objective(Z, Ystar):
         return obj(Z, Ystar)[:, 0]

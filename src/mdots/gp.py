@@ -157,6 +157,11 @@ def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _lml(L: np.ndarray, alpha: np.ndarray, y_std: np.ndarray):
+    """Log marginal likelihood from the Cholesky factor and ``alpha = K^-1 y``."""
+    return -0.5 * y_std @ alpha - np.log(np.diag(L)).sum() - 0.5 * y_std.size * np.log(2.0 * np.pi)
+
+
 def log_marginal_likelihood(params: KernelParams, X_norm: np.ndarray, y_std: np.ndarray) -> float:
     """Gaussian log marginal likelihood of standardized targets under ``params``."""
     X_norm = np.atleast_2d(np.asarray(X_norm, dtype=float))
@@ -165,9 +170,7 @@ def log_marginal_likelihood(params: KernelParams, X_norm: np.ndarray, y_std: np.
     K = kernel_matrix(params, X_norm, X_norm)
     K[np.diag_indices_from(K)] += params.nugget
     L = np.linalg.cholesky(K)  # raises LinAlgError if not positive definite
-    alpha = _solve_chol(L, y_std)
-    n = y_std.size
-    return float(-0.5 * y_std @ alpha - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi))
+    return float(_lml(L, _solve_chol(L, y_std), y_std))
 
 
 def _norm_stats(X: np.ndarray, y: np.ndarray) -> NormStats:
@@ -236,7 +239,7 @@ def _neg_lml_and_grad(theta, X_norm, y_std, dim, isotropic, nugget):
     except np.linalg.LinAlgError:
         return 1e25, np.zeros_like(theta)
     alpha = _solve_chol(L, y_std)
-    lml = -0.5 * y_std @ alpha - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi)
+    lml = _lml(L, alpha, y_std)
     # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
     W = np.outer(alpha, alpha) - _solve_chol(L, np.eye(n))
     grad_log_sv = 0.5 * np.sum(W * K_nl)

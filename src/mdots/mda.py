@@ -10,7 +10,7 @@ penalize instead of aborting.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "aitken_update",
     "gauss_seidel_solve",
     "solve_batch",
-    "initial_coupling_guess",
 ]
 
 RESIDUAL_FLOOR = 1e-12
@@ -56,7 +55,6 @@ class MdaConfig:
     omega_init: float = 0.5
     omega_min: float = 0.05
     omega_max: float = 2.0
-    initial_guess: str = "midpoint"
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
@@ -65,8 +63,6 @@ class MdaConfig:
             raise ValueError("max_iterations must be at least 1")
         if not (0.0 < self.omega_min <= self.omega_max <= 2.0):
             raise ValueError("relaxation bounds must satisfy 0 < omega_min <= omega_max <= 2")
-        if self.initial_guess not in ("midpoint", "zero"):
-            raise ValueError("initial_guess must be 'midpoint' or 'zero'")
 
 
 @dataclass
@@ -91,30 +87,18 @@ class BatchCouplingResult:
     failure: str | None = None
 
 
-def aitken_update(omega_prev: float, delta_prev, delta_curr, bounds=(0.05, 2.0)) -> float:
-    """Next relaxation factor from two consecutive sweep updates.
+def aitken_update(omega: np.ndarray, delta_prev: np.ndarray, delta_curr: np.ndarray, bounds) -> np.ndarray:
+    """Next relaxation factor of each row from two consecutive sweep updates.
 
-    Degenerate updates (identical consecutive deltas) keep the previous
-    factor; the result is always clamped into ``bounds``.
+    ``omega`` is ``(n,)``, the deltas ``(n, d_y)``. Rows with identical
+    consecutive deltas keep their previous factor; every result is clamped
+    into ``bounds``.
     """
-    delta_prev = np.asarray(delta_prev, dtype=float).ravel()
-    delta_curr = np.asarray(delta_curr, dtype=float).ravel()
     diff = delta_curr - delta_prev
-    denom = float(diff @ diff)
-    if denom <= 0.0:
-        omega = omega_prev
-    else:
-        omega = -omega_prev * float(delta_prev @ diff) / denom
-    return float(np.clip(omega, bounds[0], bounds[1]))
-
-
-def initial_coupling_guess(y_bounds: np.ndarray, policy: str = "midpoint") -> np.ndarray:
-    y_bounds = np.asarray(y_bounds, dtype=float)
-    if policy == "midpoint":
-        return 0.5 * (y_bounds[:, 0] + y_bounds[:, 1])
-    if policy == "zero":
-        return np.zeros(y_bounds.shape[0])
-    raise ValueError(f"unknown initial guess policy {policy!r}")
+    denom = np.einsum("ij,ij->i", diff, diff)
+    num = np.einsum("ij,ij->i", delta_prev, diff)
+    omega = np.where(denom > 0.0, -omega * np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0), omega)
+    return np.clip(omega, bounds[0], bounds[1])
 
 
 def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> BatchCouplingResult:
@@ -181,12 +165,8 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> B
         if cfg.aitken:
             prev_ok = has_prev[idx]
             if prev_ok.any():
-                diff = delta[prev_ok] - delta_prev[idx[prev_ok]]
-                denom = np.einsum("ij,ij->i", diff, diff)
-                num = np.einsum("ij,ij->i", delta_prev[idx[prev_ok]], diff)
-                w = omega[idx[prev_ok]]
-                w_new = np.where(denom > 0.0, -w * np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0), w)
-                omega[idx[prev_ok]] = np.clip(w_new, cfg.omega_min, cfg.omega_max)
+                pidx = idx[prev_ok]
+                omega[pidx] = aitken_update(omega[pidx], delta_prev[pidx], delta[prev_ok], (cfg.omega_min, cfg.omega_max))
         applied = omega[idx, None] * delta
         y_next = y_act + applied
         res = np.abs(applied) / np.maximum(np.abs(y_next), RESIDUAL_FLOOR)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mda import MdaConfig, gauss_seidel_solve, initial_coupling_guess
+from .mda import MdaConfig, gauss_seidel_solve
 
 __all__ = [
     "Discipline",
@@ -36,7 +36,6 @@ class Discipline:
     produces: np.ndarray
     consumes: np.ndarray
     fn: object  # callable (Z, Y_in) -> (n, n_out)
-    exclusive: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "produces", np.asarray(self.produces, dtype=int))
@@ -98,7 +97,8 @@ class MdoProblem:
         return self.y_bounds[self.disciplines[i].consumes]
 
     def y_midpoint(self) -> np.ndarray:
-        return initial_coupling_guess(self.y_bounds, "midpoint")
+        """Coupling-box midpoint, where every coupled solve starts."""
+        return 0.5 * (self.y_bounds[:, 0] + self.y_bounds[:, 1])
 
     def solve_exact(self, z, tolerance: float = 1e-10, max_iterations: int = 500):
         """Coupled solve with the true disciplines at reference tightness."""

@@ -1,11 +1,11 @@
-"""Replicate studies: seed policy, worker pool, reference solutions, statistics."""
+"""Replicate studies: worker pool, reference solutions, statistics."""
 
 from __future__ import annotations
 
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,15 +14,13 @@ from .external import load_external_problem
 from .mda import MdaConfig
 from .problems import MdoProblem, ReferenceSolution, sellar_problem, toy_problem
 from .records import save_run_record
-from .thompson import GpConfig, RunConfig, RunRecord, Seeds, convergence_check, run_mdo_ts
+from .thompson import ExperimentConfig, RunRecord, convergence_check, run_mdo_ts
 
 __all__ = [
     "ExperimentConfig",
     "VariableStat",
     "StudySummary",
-    "replicate_seeds",
     "build_problem",
-    "run_config_from",
     "run_replicate",
     "run_study",
     "run_from_record",
@@ -32,46 +30,6 @@ __all__ = [
 ]
 
 WORKERS_ENV = "MDOTS_WORKERS"
-PATH_SEED_OFFSET = 1_000_000
-DE_SEED_OFFSET = 2_000_000
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved settings for a run or a study; everything JSON-friendly."""
-
-    problem: str = "sellar"
-    external_cmd: str | None = None
-    n_doe: int = 5
-    n_iter: int = 10
-    repeat: int = 1
-    seed: int = 0
-    n_features: int = 1000
-    mda_tol: float = 1e-2
-    mda_max_iterations: int = 100
-    reference_tol: float = 1e-10
-    out: str = "runs"
-    workers: int | None = None
-    gp_nugget: float = 1e-7
-    gp_restarts: int = 4
-    gp_isotropic: bool = False
-    de_population: int | None = None
-    de_mutation: float = 0.7
-    de_crossover: float = 0.9
-    de_max_generations: int = 300
-    de_window: int = 40
-    de_tol: float = 1e-8
-    penalty_base: float = 1000.0
-    penalty_bound_weight: float = 100.0
-    recompute_reference: bool = False
-
-    def __post_init__(self):
-        if self.repeat < 1:
-            raise ValueError("repeat must be at least 1")
-        if self.n_doe < 2:
-            raise ValueError("n_doe must be at least 2")
-        if self.n_iter < 0:
-            raise ValueError("n_iter must be non-negative")
 
 
 @dataclass
@@ -92,11 +50,6 @@ class StudySummary:
     variables: list
 
 
-def replicate_seeds(seed_base: int, k: int) -> Seeds:
-    """Replicate ``k``: DoE stream at base+k, paths and optimizer in offset bands."""
-    return Seeds(doe=seed_base + k, paths=seed_base + PATH_SEED_OFFSET + k, de=seed_base + DE_SEED_OFFSET + k)
-
-
 def build_problem(cfg: ExperimentConfig) -> MdoProblem:
     if cfg.problem == "toy":
         return toy_problem()
@@ -109,31 +62,10 @@ def build_problem(cfg: ExperimentConfig) -> MdoProblem:
     raise ValueError(f"unknown problem {cfg.problem!r}")
 
 
-def run_config_from(cfg: ExperimentConfig, k: int) -> RunConfig:
-    return RunConfig(
-        n_doe=cfg.n_doe,
-        n_iter=cfg.n_iter,
-        n_features=cfg.n_features,
-        gp=GpConfig(nugget=cfg.gp_nugget, restarts=cfg.gp_restarts, isotropic=cfg.gp_isotropic),
-        de=DeConfig(
-            population=cfg.de_population,
-            mutation=cfg.de_mutation,
-            crossover=cfg.de_crossover,
-            max_generations=cfg.de_max_generations,
-            window=cfg.de_window,
-            tol=cfg.de_tol,
-        ),
-        mda_surrogate=MdaConfig(tolerance=cfg.mda_tol, max_iterations=cfg.mda_max_iterations),
-        mda_reference=MdaConfig(tolerance=cfg.reference_tol, max_iterations=500),
-        penalty=PenaltySpec(base=cfg.penalty_base, bound_weight=cfg.penalty_bound_weight),
-        seeds=replicate_seeds(cfg.seed, k),
-    )
-
-
 def run_replicate(cfg: ExperimentConfig, k: int, out_dir: str | None = None) -> RunRecord:
     """One independent replicate; persists its record when ``out_dir`` is given."""
     problem = build_problem(cfg)
-    record = run_mdo_ts(problem, run_config_from(cfg, k), replicate=k, config_echo=asdict(cfg))
+    record = run_mdo_ts(problem, cfg, replicate=k)
     if out_dir is not None:
         save_run_record(record, os.path.join(out_dir, f"run_{k}.ndjson"))
     return record

@@ -5,28 +5,30 @@ design point minimizing the penalized coupled objective of those draws,
 evaluates one true discipline at the proposal and refits that discipline's
 surrogates with the new pair. After the refinement budget is spent, the
 final design comes from the same machinery run on posterior means.
+
+``ExperimentConfig`` holds every setting of a run or a study, and
+``replicate_seeds`` derives a replicate's random streams from its seed.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .evolution import DeConfig, PenaltySpec, de_minimize, penalized_mdo_objective
-from .gp import TrainedSurrogate, fit, posterior_mean
+from .gp import DEFAULT_NUGGET, DEFAULT_RESTARTS, TrainedSurrogate, fit, posterior_mean
 from .mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
-from .paths import draw_path, eval_path
+from .paths import DEFAULT_FEATURES, draw_path, eval_path
 from .problems import MdoProblem, TrainingSet, initial_doe_training_sets
 
 __all__ = [
-    "GpConfig",
+    "ExperimentConfig",
     "Seeds",
-    "RunConfig",
+    "replicate_seeds",
     "SurrogateSet",
-    "RefinementEntry",
     "IterationEntry",
     "RunRecord",
     "fit_surrogate_set",
@@ -41,43 +43,82 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 CONVERGENCE_THRESHOLD = 0.01
+PATH_SEED_OFFSET = 1_000_000
+DE_SEED_OFFSET = 2_000_000
 
 
 @dataclass(frozen=True)
-class GpConfig:
-    nugget: float = 1e-7
-    restarts: int = 4
-    isotropic: bool = False
+class ExperimentConfig:
+    """Fully resolved settings for a run or a study; everything JSON-friendly.
+
+    A run record's header is this config as a dict, so a record re-launches
+    from its file alone.
+    """
+
+    problem: str = "sellar"
+    external_cmd: str | None = None
+    n_doe: int = 5
+    n_iter: int = 10
+    repeat: int = 1
+    seed: int = 0
+    n_features: int = DEFAULT_FEATURES
+    mda_tol: float = 1e-2
+    mda_max_iterations: int = 100
+    reference_tol: float = 1e-10
+    out: str = "runs"
+    workers: int | None = None
+    gp_nugget: float = DEFAULT_NUGGET
+    gp_restarts: int = DEFAULT_RESTARTS
+    gp_isotropic: bool = False
+    de_population: int | None = DeConfig.population
+    de_mutation: float = DeConfig.mutation
+    de_crossover: float = DeConfig.crossover
+    de_max_generations: int = DeConfig.max_generations
+    de_window: int = DeConfig.window
+    de_tol: float = DeConfig.tol
+    penalty_base: float = PenaltySpec.base
+    penalty_bound_weight: float = PenaltySpec.bound_weight
+    recompute_reference: bool = False
+
+    def __post_init__(self):
+        if self.repeat < 1:
+            raise ValueError("repeat must be at least 1")
+        if self.n_doe < 2:
+            raise ValueError("n_doe must be at least 2")
+        if self.n_iter < 0:
+            raise ValueError("n_iter must be non-negative")
+
+    def de_config(self, seed: int) -> DeConfig:
+        return DeConfig(
+            population=self.de_population,
+            mutation=self.de_mutation,
+            crossover=self.de_crossover,
+            max_generations=self.de_max_generations,
+            window=self.de_window,
+            tol=self.de_tol,
+            seed=seed,
+        )
+
+    def mda_config(self) -> MdaConfig:
+        """Coupled-solve settings for surrogate and path systems."""
+        return MdaConfig(tolerance=self.mda_tol, max_iterations=self.mda_max_iterations)
+
+    def penalty_spec(self) -> PenaltySpec:
+        return PenaltySpec(base=self.penalty_base, bound_weight=self.penalty_bound_weight)
 
 
 @dataclass(frozen=True)
 class Seeds:
     """Independent streams: DoE + refits, path draws, and optimizer runs."""
 
-    doe: int = 0
-    paths: int = 1_000_000
-    de: int = 2_000_000
+    doe: int
+    paths: int
+    de: int
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n_doe: int = 5
-    n_iter: int = 10
-    n_features: int = 1000
-    gp: GpConfig = GpConfig()
-    de: DeConfig = DeConfig()
-    mda_surrogate: MdaConfig = MdaConfig(tolerance=1e-2, max_iterations=100)
-    mda_reference: MdaConfig = MdaConfig(tolerance=1e-10, max_iterations=200)
-    penalty: PenaltySpec = PenaltySpec()
-    seeds: Seeds = Seeds()
-
-
-@dataclass
-class RefinementEntry:
-    iteration: int
-    discipline: int
-    x: np.ndarray
-    y: np.ndarray
+def replicate_seeds(seed_base: int, k: int) -> Seeds:
+    """Replicate ``k``: DoE stream at base+k, paths and optimizer in offset bands."""
+    return Seeds(doe=seed_base + k, paths=seed_base + PATH_SEED_OFFSET + k, de=seed_base + DE_SEED_OFFSET + k)
 
 
 @dataclass
@@ -86,30 +127,29 @@ class SurrogateSet:
 
     data: list[TrainingSet]
     models: list[list[TrainedSurrogate]]
-    log: list[RefinementEntry] = field(default_factory=list)
 
 
-def fit_surrogate_set(problem: MdoProblem, training_sets, gp_cfg: GpConfig, rng) -> SurrogateSet:
-    rng = np.random.default_rng(rng)
-    models = []
-    for ts in training_sets:
-        models.append(
-            [
-                fit(
-                    ts.inputs,
-                    ts.targets[:, j],
-                    nugget=gp_cfg.nugget,
-                    restarts=gp_cfg.restarts,
-                    rng=rng,
-                    isotropic=gp_cfg.isotropic,
-                )
-                for j in range(ts.targets.shape[1])
-            ]
+def _fit_outputs(ts: TrainingSet, cfg: ExperimentConfig, rng, warm: list[TrainedSurrogate] | None = None):
+    return [
+        fit(
+            ts.inputs,
+            ts.targets[:, j],
+            nugget=cfg.gp_nugget,
+            restarts=cfg.gp_restarts,
+            rng=rng,
+            isotropic=cfg.gp_isotropic,
+            warm_start=None if warm is None else warm[j].params,
         )
-    return SurrogateSet(data=list(training_sets), models=models)
+        for j in range(ts.targets.shape[1])
+    ]
 
 
-def refine_discipline(sset: SurrogateSet, m: int, x_new, y_new, gp_cfg: GpConfig, rng, iteration: int) -> None:
+def fit_surrogate_set(training_sets, cfg: ExperimentConfig, rng) -> SurrogateSet:
+    rng = np.random.default_rng(rng)
+    return SurrogateSet(data=list(training_sets), models=[_fit_outputs(ts, cfg, rng) for ts in training_sets])
+
+
+def refine_discipline(sset: SurrogateSet, m: int, x_new, y_new, cfg: ExperimentConfig, rng) -> None:
     """Append one (input, output) pair to discipline ``m`` and refit its surrogates.
 
     Hyperparameters are re-optimized from scratch, warm-started at the
@@ -119,22 +159,9 @@ def refine_discipline(sset: SurrogateSet, m: int, x_new, y_new, gp_cfg: GpConfig
     x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
     y_new = np.atleast_1d(np.asarray(y_new, dtype=float))
     ts = sset.data[m]
-    inputs = np.vstack([ts.inputs, x_new])
-    targets = np.vstack([ts.targets, y_new])
-    sset.data[m] = TrainingSet(inputs=inputs, targets=targets)
-    sset.models[m] = [
-        fit(
-            inputs,
-            targets[:, j],
-            nugget=gp_cfg.nugget,
-            restarts=gp_cfg.restarts,
-            rng=rng,
-            isotropic=gp_cfg.isotropic,
-            warm_start=sset.models[m][j].params,
-        )
-        for j in range(targets.shape[1])
-    ]
-    sset.log.append(RefinementEntry(iteration=iteration, discipline=m, x=x_new, y=y_new))
+    ts = TrainingSet(inputs=np.vstack([ts.inputs, x_new]), targets=np.vstack([ts.targets, y_new]))
+    sset.data[m] = ts
+    sset.models[m] = _fit_outputs(ts, cfg, rng, warm=sset.models[m])
 
 
 def _stacked(fns):
@@ -235,36 +262,34 @@ class RunRecord:
         return counts
 
 
-def run_mdo_ts(problem: MdoProblem, config: RunConfig, replicate: int = 0, config_echo: dict | None = None) -> RunRecord:
+def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -> RunRecord:
     """Run the full loop: DoE, n_iter refinement rounds, final mean solve.
 
     Every inner step refines exactly one discipline; a failed true
     evaluation at a proposal skips that refinement with a warning and the
-    run continues. The record embeds the resolved config so the run can be
-    re-launched from the file alone.
+    run continues. The seeds are those of replicate ``replicate`` of
+    ``cfg.seed``. The record embeds the config, with ``problem`` set to the
+    problem's id, so the run can be re-launched from the file alone.
     """
-    if config.n_doe < 2:
-        raise ValueError("n_doe must be at least 2")
-    if config.n_iter < 0:
-        raise ValueError("n_iter must be non-negative")
-
+    seeds = replicate_seeds(cfg.seed, replicate)
+    penalty, mda_cfg = cfg.penalty_spec(), cfg.mda_config()
     t0 = time.perf_counter()
-    doe_rng = np.random.default_rng(config.seeds.doe)
-    path_rng = np.random.default_rng(config.seeds.paths)
+    doe_rng = np.random.default_rng(seeds.doe)
+    path_rng = np.random.default_rng(seeds.paths)
 
-    doe_sets = initial_doe_training_sets(problem, config.n_doe, doe_rng)
-    sset = fit_surrogate_set(problem, doe_sets, config.gp, doe_rng)
+    doe_sets = initial_doe_training_sets(problem, cfg.n_doe, doe_rng)
+    sset = fit_surrogate_set(doe_sets, cfg, doe_rng)
     t_doe = time.perf_counter()
 
     lo, hi = problem.y_bounds[:, 0], problem.y_bounds[:, 1]
     entries: list[IterationEntry] = []
     solve_index = 0
-    for n in range(1, config.n_iter + 1):
+    for n in range(1, cfg.n_iter + 1):
         for m in range(problem.n_disciplines):
-            evaluators, _ = path_evaluators(sset, config.n_features, path_rng)
-            de_cfg = replace(config.de, seed=config.seeds.de + solve_index)
+            evaluators, _ = path_evaluators(sset, cfg.n_features, path_rng)
+            de_cfg = cfg.de_config(seeds.de + solve_index)
             solve_index += 1
-            z_hat, state, value = solve_random_mdo(evaluators, problem, config.penalty, de_cfg, config.mda_surrogate)
+            z_hat, state, value = solve_random_mdo(evaluators, problem, penalty, de_cfg, mda_cfg)
 
             cons = problem.disciplines[m].consumes
             y_cons = state.y[cons]
@@ -282,7 +307,7 @@ def run_mdo_ts(problem: MdoProblem, config: RunConfig, replicate: int = 0, confi
                 out = np.array([np.nan])
                 warnings.warn(f"discipline {m} failed at iteration {n}: {exc}", stacklevel=2)
             if np.all(np.isfinite(out)):
-                refine_discipline(sset, m, np.concatenate([z_hat, y_refine]), out, config.gp, doe_rng, n)
+                refine_discipline(sset, m, np.concatenate([z_hat, y_refine]), out, cfg, doe_rng)
                 y_true = out.tolist()
                 refined = True
             else:
@@ -307,17 +332,15 @@ def run_mdo_ts(problem: MdoProblem, config: RunConfig, replicate: int = 0, confi
             )
     t_loop = time.perf_counter()
 
-    de_cfg = replace(config.de, seed=config.seeds.de + solve_index)
-    z_star, value_star = solve_surrogate_mdo(sset, problem, config.penalty, de_cfg, config.mda_surrogate)
+    de_cfg = cfg.de_config(seeds.de + solve_index)
+    z_star, value_star = solve_surrogate_mdo(sset, problem, penalty, de_cfg, mda_cfg)
     t_final = time.perf_counter()
 
-    if config_echo is None:
-        config_echo = {"problem": problem.problem_id, **asdict(config)}
     return RunRecord(
         schema_version=SCHEMA_VERSION,
         problem=problem.problem_id,
         replicate=replicate,
-        config=config_echo,
+        config={**asdict(cfg), "problem": problem.problem_id},
         doe=[{"inputs": ts.inputs.tolist(), "targets": ts.targets.tolist()} for ts in doe_sets],
         iterations=entries,
         final_z=z_star.tolist(),

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from mdots.external import external_discipline, load_external_problem
+from mdots.external import ExternalDiscipline, load_external_problem
 from mdots.mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
 from mdots.problems import Discipline
 
@@ -19,12 +19,12 @@ def child(mode):
 
 class TestProtocol:
     def test_echo_double(self):
-        with external_discipline(child("double")) as ev:
+        with ExternalDiscipline(child("double")) as ev:
             out = ev(np.array([[1.5], [-2.0]]), np.zeros((2, 0)))
         np.testing.assert_allclose(out, [[3.0], [-4.0]])
 
     def test_documented_keys_only(self):
-        with external_discipline(child("echo-keys")) as ev:
+        with ExternalDiscipline(child("echo-keys")) as ev:
             out = ev(np.array([[1.0]]), np.array([[0.5]]))
             assert np.all(np.isfinite(out))
             assert ev.last_error is None
@@ -40,7 +40,7 @@ class TestProtocol:
         assert set(response) == {"id", "status", "y_out", "message"}
 
     def test_remote_error_status(self):
-        with external_discipline(child("error")) as ev:
+        with ExternalDiscipline(child("error")) as ev:
             out = ev(np.array([[1.0]]), np.zeros((1, 0)))
             assert np.isnan(out).all()
             assert ev.last_error is not None
@@ -48,20 +48,20 @@ class TestProtocol:
             assert "blew up" in str(ev.last_error)
 
     def test_crash_mid_request(self):
-        with external_discipline(child("crash")) as ev:
+        with ExternalDiscipline(child("crash")) as ev:
             out = ev(np.array([[1.0]]), np.zeros((1, 0)))
             assert np.isnan(out).all()
             assert ev.last_error.kind == "crash"
 
     def test_timeout(self):
-        with external_discipline(child("sleep"), timeout=0.3) as ev:
+        with ExternalDiscipline(child("sleep"), timeout=0.3) as ev:
             out = ev(np.array([[1.0]]), np.zeros((1, 0)))
             assert np.isnan(out).all()
             assert ev.last_error.kind == "timeout"
 
     def test_timeout_is_a_deadline_for_the_whole_line(self):
         # The full reply takes ~3 s to trickle out; no single byte waits 0.5 s.
-        with external_discipline(child("trickle"), timeout=0.5) as ev:
+        with ExternalDiscipline(child("trickle"), timeout=0.5) as ev:
             t0 = time.monotonic()
             out = ev(np.array([[1.0]]), np.zeros((1, 0)))
             elapsed = time.monotonic() - t0
@@ -70,36 +70,36 @@ class TestProtocol:
         assert elapsed < 2.0
 
     def test_malformed_response(self):
-        with external_discipline(child("garbage")) as ev:
+        with ExternalDiscipline(child("garbage")) as ev:
             out = ev(np.array([[1.0]]), np.zeros((1, 0)))
             assert np.isnan(out).all()
             assert ev.last_error.kind == "protocol"
 
     def test_id_mismatch(self):
-        with external_discipline(child("wrong-id")) as ev:
+        with ExternalDiscipline(child("wrong-id")) as ev:
             out = ev(np.array([[1.0]]), np.zeros((1, 0)))
             assert np.isnan(out).all()
             assert ev.last_error.kind == "protocol"
 
     def test_unstartable_command(self):
         with pytest.raises(DisciplineFailure):
-            external_discipline(["/nonexistent/solver"])
+            ExternalDiscipline(["/nonexistent/solver"])
 
 
 class TestInsideMda:
     def test_failure_becomes_evaluator_failure_status(self):
-        with external_discipline(child("error")) as ev:
-            disc = Discipline("remote", produces=[0], consumes=[], fn=ev, exclusive=True)
+        with ExternalDiscipline(child("error")) as ev:
+            disc = Discipline("remote", produces=[0], consumes=[], fn=ev)
             state = gauss_seidel_solve([disc], [0.0], np.array([0.0]), MdaConfig(tolerance=1e-8, max_iterations=10))
         assert state.status == MdaStatus.EVALUATOR_FAILURE
 
     def test_contractive_remote_discipline_converges(self):
         # child computes z + y/2 through the sum mode with scaled inputs
-        with external_discipline(child("sum")) as ev:
+        with ExternalDiscipline(child("sum")) as ev:
             def half_feedback(Z, Yin):
                 return ev(Z, 0.5 * Yin)
 
-            disc = Discipline("remote", produces=[0], consumes=[0], fn=half_feedback, exclusive=True)
+            disc = Discipline("remote", produces=[0], consumes=[0], fn=half_feedback)
             state = gauss_seidel_solve([disc], [1.0], np.array([0.0]), MdaConfig(tolerance=1e-10, max_iterations=100))
         assert state.status == MdaStatus.CONVERGED
         assert state.y[0] == pytest.approx(2.0, rel=1e-8)  # y = 1 + y/2

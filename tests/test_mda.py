@@ -9,12 +9,12 @@ from mdots.mda import (
     MdaStatus,
     aitken_update,
     gauss_seidel_solve,
-    initial_coupling_guess,
     solve_batch,
 )
 from mdots.problems import Discipline, sellar_problem, toy_problem
 
 TIGHT = MdaConfig(tolerance=1e-10, max_iterations=200)
+BOUNDS = (MdaConfig.omega_min, MdaConfig.omega_max)
 
 
 def toy_fixed_point(z):
@@ -148,17 +148,18 @@ class TestLinearContraction:
 
 class TestAitken:
     def test_zero_update_keeps_factor_in_bounds(self):
-        omega = aitken_update(0.7, np.array([0.0]), np.array([0.0]))
-        assert np.isfinite(omega)
-        assert 0.05 <= omega <= 2.0
+        omega = aitken_update(np.array([0.7]), np.array([[0.0]]), np.array([[0.0]]), BOUNDS)
+        assert np.isfinite(omega).all()
+        assert 0.05 <= omega[0] <= 2.0
 
     def test_recurrence_example(self):
         # -1 * (1 * (0.5 - 1)) / 0.25 = 2, already at the upper clamp
-        assert aitken_update(1.0, [1.0], [0.5]) == 2.0
+        assert aitken_update(np.array([1.0]), np.array([[1.0]]), np.array([[0.5]]), BOUNDS).tolist() == [2.0]
 
     def test_clamping(self):
-        assert aitken_update(1.0, [1.0], [0.999]) == 2.0  # huge unclamped value
-        assert aitken_update(1e-4, [1.0], [-1.0]) == 0.05  # tiny unclamped value
+        # huge and tiny unclamped values
+        assert aitken_update(np.array([1.0]), np.array([[1.0]]), np.array([[0.999]]), BOUNDS).tolist() == [2.0]
+        assert aitken_update(np.array([1e-4]), np.array([[1.0]]), np.array([[-1.0]]), BOUNDS).tolist() == [0.05]
 
     def test_accelerates_slow_scalar_iteration(self):
         # y <- 0.9 y + 1, fixed point 10; unrelaxed contraction is 0.9/sweep
@@ -203,12 +204,3 @@ class TestConfig:
             MdaConfig(omega_min=1.0, omega_max=0.5)
         with pytest.raises(ValueError):
             MdaConfig(omega_max=3.0)
-        with pytest.raises(ValueError):
-            MdaConfig(initial_guess="warm")
-
-    def test_initial_guess_policies(self):
-        bounds = np.array([[0.0, 10.0], [-4.0, 2.0]])
-        np.testing.assert_array_equal(initial_coupling_guess(bounds, "midpoint"), [5.0, -1.0])
-        np.testing.assert_array_equal(initial_coupling_guess(bounds, "zero"), [0.0, 0.0])
-        with pytest.raises(ValueError):
-            initial_coupling_guess(bounds, "other")

@@ -15,12 +15,12 @@ from mdots.records import (
     write_summary_csv,
     write_trace_csv,
 )
+from mdots.cli import main
 from mdots.problems import toy_problem
 from mdots.study import (
     ExperimentConfig,
     StudySummary,
     VariableStat,
-    replicate_seeds,
     run_from_record,
     run_replicate,
     run_study,
@@ -28,7 +28,7 @@ from mdots.study import (
     resolve_reference,
     resolve_workers,
 )
-from mdots.thompson import RunConfig, Seeds, run_mdo_ts
+from mdots.thompson import Seeds, replicate_seeds, run_mdo_ts
 
 
 def small_record(seed=0):
@@ -120,6 +120,42 @@ class TestRelaunch:
         cfg = ExperimentConfig(**record.config)
         assert cfg.problem == "toy"
         assert cfg.seed == 6
+        # the record header schema: every field, in declaration order
+        assert list(record.config) == [
+            "problem",
+            "external_cmd",
+            "n_doe",
+            "n_iter",
+            "repeat",
+            "seed",
+            "n_features",
+            "mda_tol",
+            "mda_max_iterations",
+            "reference_tol",
+            "out",
+            "workers",
+            "gp_nugget",
+            "gp_restarts",
+            "gp_isotropic",
+            "de_population",
+            "de_mutation",
+            "de_crossover",
+            "de_max_generations",
+            "de_window",
+            "de_tol",
+            "penalty_base",
+            "penalty_bound_weight",
+            "recompute_reference",
+        ]
+
+    def test_library_run_relaunches_and_reports(self, tmp_path):
+        cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=1, de_max_generations=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            record = run_mdo_ts(toy_problem(), cfg)
+            assert records_equal(record, run_from_record(record))
+        save_run_record(record, str(tmp_path / "run_0.ndjson"))
+        assert main(["report", str(tmp_path)]) == 0
 
 
 class TestStudy:

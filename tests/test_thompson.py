@@ -8,14 +8,13 @@ from mdots.evolution import DeConfig, PenaltySpec, de_minimize, penalized_mdo_ob
 from mdots.gp import posterior_variance
 from mdots.mda import MdaConfig
 from mdots.problems import Discipline, MdoProblem, TrainingSet, sellar_problem, toy_problem
-from mdots.study import replicate_seeds
 from mdots.thompson import (
-    RunConfig,
-    Seeds,
+    ExperimentConfig,
     convergence_check,
     fit_surrogate_set,
     mean_evaluators,
     path_evaluators,
+    replicate_seeds,
     run_mdo_ts,
     solve_random_mdo,
     solve_surrogate_mdo,
@@ -47,7 +46,7 @@ def single_discipline_problem():
 
 class TestRunBudget:
     def test_toy_budget_and_alternation(self):
-        cfg = RunConfig(n_doe=4, n_iter=3, seeds=Seeds(doe=1, paths=2, de=3))
+        cfg = ExperimentConfig(n_doe=4, n_iter=3, seed=1)
         record = quiet_run(toy_problem(), cfg)
         assert record.evaluations_per_discipline() == [7, 7]
         assert len(record.iterations) == 3 * 2
@@ -56,8 +55,8 @@ class TestRunBudget:
 
     def test_zero_iterations_equals_doe_only_solve(self):
         problem = toy_problem()
-        seeds = Seeds(doe=5, paths=6, de=7)
-        cfg = RunConfig(n_doe=4, n_iter=0, seeds=seeds)
+        cfg = ExperimentConfig(n_doe=4, n_iter=0, seed=5)
+        seeds = replicate_seeds(cfg.seed, 0)
         record = quiet_run(problem, cfg)
         assert record.iterations == []
         assert record.evaluations_per_discipline() == [4, 4]
@@ -67,16 +66,14 @@ class TestRunBudget:
 
         rng = np.random.default_rng(seeds.doe)
         sets = initial_doe_training_sets(problem, 4, rng)
-        sset = fit_surrogate_set(problem, sets, cfg.gp, rng)
-        z, value = solve_surrogate_mdo(
-            sset, problem, cfg.penalty, replace(cfg.de, seed=seeds.de), cfg.mda_surrogate
-        )
+        sset = fit_surrogate_set(sets, cfg, rng)
+        z, value = solve_surrogate_mdo(sset, problem, cfg.penalty_spec(), cfg.de_config(seeds.de), cfg.mda_config())
         np.testing.assert_array_equal(record.final_z, z.tolist())
         assert record.final_value == value
 
     def test_proposals_stay_inside_boxes(self):
         problem = toy_problem()
-        cfg = RunConfig(n_doe=4, n_iter=3, seeds=Seeds(doe=11, paths=12, de=13))
+        cfg = ExperimentConfig(n_doe=4, n_iter=3, seed=11)
         record = quiet_run(problem, cfg)
         for entry in record.iterations:
             z = np.asarray(entry.z_hat)
@@ -89,23 +86,25 @@ class TestRunBudget:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            quiet_run(toy_problem(), RunConfig(n_doe=1, n_iter=1))
+            quiet_run(toy_problem(), ExperimentConfig(n_doe=1, n_iter=1))
         with pytest.raises(ValueError):
-            quiet_run(toy_problem(), RunConfig(n_doe=4, n_iter=-1))
+            quiet_run(toy_problem(), ExperimentConfig(n_doe=4, n_iter=-1))
 
 
 class TestReproducibility:
     def test_identical_seeds_identical_records(self):
         from mdots.records import records_equal
 
-        cfg = RunConfig(n_doe=4, n_iter=2, seeds=Seeds(doe=21, paths=22, de=23))
+        cfg = ExperimentConfig(n_doe=4, n_iter=2, seed=21)
         a = quiet_run(toy_problem(), cfg)
         b = quiet_run(toy_problem(), cfg)
         assert records_equal(a, b)
 
     def test_different_path_seeds_generally_differ(self):
-        base = RunConfig(n_doe=4, n_iter=1, seeds=Seeds(doe=31, paths=32, de=33))
-        other = RunConfig(n_doe=4, n_iter=1, seeds=Seeds(doe=31, paths=99, de=33))
+        # the seed moves all three streams; the path stream alone is covered
+        # by TestSolveRandomMdo.test_two_seeds_two_proposals
+        base = ExperimentConfig(n_doe=4, n_iter=1, seed=31)
+        other = ExperimentConfig(n_doe=4, n_iter=1, seed=99)
         a = quiet_run(toy_problem(), base)
         b = quiet_run(toy_problem(), other)
         assert a.iterations[0].z_hat != b.iterations[0].z_hat
@@ -114,14 +113,14 @@ class TestReproducibility:
 class TestMonotoneInformation:
     def test_variance_collapses_at_refined_points(self):
         problem = toy_problem()
-        cfg = RunConfig(n_doe=4, n_iter=2, seeds=Seeds(doe=41, paths=42, de=43))
+        cfg = ExperimentConfig(n_doe=4, n_iter=2, seed=41)
         record = quiet_run(problem, cfg)
 
-        rng = np.random.default_rng(cfg.seeds.doe)
+        rng = np.random.default_rng(replicate_seeds(cfg.seed, 0).doe)
         from mdots.problems import initial_doe_training_sets
 
         sets = initial_doe_training_sets(problem, 4, rng)
-        sset = fit_surrogate_set(problem, sets, cfg.gp, rng)
+        sset = fit_surrogate_set(sets, cfg, rng)
         # replay the refinements through the log in the record
         from mdots.thompson import refine_discipline
 
@@ -129,7 +128,7 @@ class TestMonotoneInformation:
             if not entry.refined:
                 continue
             x = np.concatenate([entry.z_hat, entry.y_refine])
-            refine_discipline(sset, entry.discipline, x, entry.y_true, cfg.gp, rng, entry.iteration)
+            refine_discipline(sset, entry.discipline, x, entry.y_true, cfg, rng)
             for s in sset.models[entry.discipline]:
                 assert posterior_variance(s, x) <= 2.0 * s.params.nugget * s.norm.output_std**2
 
@@ -147,12 +146,11 @@ class TestSolveRandomMdo:
 
     def test_two_seeds_two_proposals(self):
         problem = toy_problem()
-        cfg = RunConfig(n_doe=4, seeds=Seeds(doe=61, paths=62, de=63))
-        rng = np.random.default_rng(cfg.seeds.doe)
+        rng = np.random.default_rng(61)
         from mdots.problems import initial_doe_training_sets
 
-        sset = fit_surrogate_set(problem, initial_doe_training_sets(problem, 4, rng), cfg.gp, rng)
-        path_rng = np.random.default_rng(cfg.seeds.paths)
+        sset = fit_surrogate_set(initial_doe_training_sets(problem, 4, rng), ExperimentConfig(), rng)
+        path_rng = np.random.default_rng(62)
         ev1, _ = path_evaluators(sset, 400, path_rng)
         ev2, _ = path_evaluators(sset, 400, path_rng)
         mda = MdaConfig(tolerance=1e-2, max_iterations=100)
@@ -167,10 +165,7 @@ class TestSolveRandomMdo:
         zs = np.linspace(0.0, 6.0, 120)[:, None]
         targets = problem.disciplines[0].fn(zs, np.zeros((120, 0)))[:, None]
         sset = fit_surrogate_set(
-            problem,
-            [TrainingSet(inputs=zs, targets=targets)],
-            replace(RunConfig().gp, restarts=1),
-            np.random.default_rng(71),
+            [TrainingSet(inputs=zs, targets=targets)], ExperimentConfig(gp_restarts=1), np.random.default_rng(71)
         )
         mda = MdaConfig(tolerance=1e-4, max_iterations=50)
         path_rng = np.random.default_rng(72)
@@ -188,10 +183,7 @@ class TestSolveSurrogateMdo:
         zs = np.linspace(0.0, 6.0, 120)[:, None]
         targets = problem.disciplines[0].fn(zs, np.zeros((120, 0)))[:, None]
         sset = fit_surrogate_set(
-            problem,
-            [TrainingSet(inputs=zs, targets=targets)],
-            replace(RunConfig().gp, restarts=1),
-            np.random.default_rng(81),
+            [TrainingSet(inputs=zs, targets=targets)], ExperimentConfig(gp_restarts=1), np.random.default_rng(81)
         )
         mda = MdaConfig(tolerance=1e-6, max_iterations=50)
         z_sur, value_sur = solve_surrogate_mdo(sset, problem, PenaltySpec(), DeConfig(seed=82), mda)
@@ -224,7 +216,7 @@ class TestFailureHandling:
             objective=problem.objective,
             reference=problem.reference,
         )
-        cfg = RunConfig(n_doe=4, n_iter=2, seeds=Seeds(doe=91, paths=92, de=93))
+        cfg = ExperimentConfig(n_doe=4, n_iter=2, seed=91)
         with pytest.warns(UserWarning, match="skipping refinement"):
             record = run_mdo_ts(flaky_problem, cfg)
         skipped = [e for e in record.iterations if not e.refined]
@@ -258,7 +250,7 @@ class TestEvaluators:
         from mdots.gp import posterior_mean
         from mdots.problems import initial_doe_training_sets
 
-        sset = fit_surrogate_set(problem, initial_doe_training_sets(problem, 5, rng), RunConfig().gp, rng)
+        sset = fit_surrogate_set(initial_doe_training_sets(problem, 5, rng), ExperimentConfig(), rng)
         ev = mean_evaluators(sset)
         Z = np.array([[1.0], [-2.0]])
         Yin = np.array([[0.5], [3.0]])
