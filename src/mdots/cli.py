@@ -92,6 +92,8 @@ def _cmd_study(args, parser) -> int:
     started = time.perf_counter()
     records, summary = run_study(cfg, out_dir=cfg.out)
     elapsed = time.perf_counter() - started
+    # No record may have been saved (every replicate failed), so the directory may not exist yet.
+    os.makedirs(cfg.out, exist_ok=True)
     summary_path = os.path.join(cfg.out, "summary.csv")
     write_summary_csv(summary, summary_path)
     print(f"problem={summary.problem} runs={summary.n_runs} converged={summary.n_converged}")
@@ -117,9 +119,9 @@ def _cmd_report(args, parser) -> int:
     for record in records:
         write_trace_csv(record, os.path.join(out_dir, f"trace_run_{record.replicate}.csv"))
     cfg = ExperimentConfig(**records[0].config)
-    problem = build_problem(cfg)
-    reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
-    summary = summarize(problem, records, reference, tolerance=cfg.reference_tol)
+    with build_problem(cfg) as problem:
+        reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
+        summary = summarize(problem, records, reference, tolerance=cfg.reference_tol)
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
     write_summary_csv(summary, aggregate_path)
     print(f"traces={len(records)} aggregate={aggregate_path} skipped={skipped}")
@@ -130,8 +132,8 @@ def _cmd_report(args, parser) -> int:
 
 def _cmd_reference(args, parser) -> int:
     cfg = _resolve_config(args, parser)
-    problem = build_problem(cfg)
-    reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
+    with build_problem(cfg) as problem:
+        reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
     z = ", ".join(f"{v: .6f}" for v in np.atleast_1d(reference.z))
     print(f"problem={problem.problem_id} z_star=[{z}] objective={reference.objective:.6f}")
     return 0

@@ -1,19 +1,30 @@
 """Attach black-box solvers as disciplines over a line-delimited JSON protocol.
 
-Per evaluation the adapter writes one request line to the child's stdin and
-reads one response line from its stdout:
+Each evaluated row is one request line on the child's stdin and one response
+line on its stdout:
 
     request:  {"id": <int>, "z": [...], "y_in": [...]}
     response: {"id": <int>, "status": "ok"|"error", "y_out": [...], "message": <string>}
 
-One UTF-8 JSON object per line, flushed after each line. Crashes, timeouts,
-id mismatches and malformed lines all surface as failed evaluations, never
-as exceptions out of a coupled solve.
+One UTF-8 JSON object per line; request ids are consecutive over the life of
+a child. A batch is pipelined: the adapter writes the requests of all its
+rows while it reads the replies, so a request may be written before the
+replies to earlier ones are read. A child must answer each line in order,
+flushing each reply, and must not wait for EOF or for further input before
+answering. The timeout is a deadline per reply: each full reply line must
+arrive within ``timeout`` seconds of the previous one, or of the start of
+the batch.
+
+An ``"error"`` status fails its row only. A timeout, crash, broken pipe, id
+mismatch or malformed line kills the child and fails that row and every row
+after it. Failed rows come back as NaN, never as exceptions out of a coupled
+solve.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import select
 import shlex
 import subprocess
@@ -30,12 +41,44 @@ __all__ = ["ExternalDiscipline", "load_external_problem"]
 DEFAULT_TIMEOUT = 300.0
 
 
+def _row_texts(A: np.ndarray) -> list[str]:
+    # The JSON text of each row's list, without brackets: no number's text holds "], [".
+    return json.dumps(A.tolist())[2:-2].split("], [")
+
+
+def _encode_requests(first_id: int, Z: np.ndarray, Y_in: np.ndarray) -> bytes:
+    """Request lines with consecutive ids, byte for byte ``json.dumps`` of each request dict."""
+    return "".join(
+        f'{{"id": {first_id + i}, "z": [{z}], "y_in": [{y}]}}\n'
+        for i, (z, y) in enumerate(zip(_row_texts(Z), _row_texts(Y_in)))
+    ).encode("utf-8")
+
+
+def _parse_reply(line: bytes, request_id: int):
+    """The row's outputs, or a failure of that row alone; raises if the stream itself is broken."""
+    try:
+        response = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DisciplineFailure(f"malformed response line: {exc}", kind="protocol") from exc
+    if not isinstance(response, dict) or response.get("id") != request_id:
+        raise DisciplineFailure("response id does not match request id", kind="protocol")
+    if response.get("status") != "ok":
+        return DisciplineFailure(str(response.get("message", "remote error")), kind="remote")
+    try:
+        return np.asarray(response["y_out"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        return DisciplineFailure(f"unusable y_out in response: {exc}", kind="protocol")
+
+
 class ExternalDiscipline:
     """Evaluator backed by a child process speaking the line protocol.
 
-    Calls are serialized with a lock, so one request is in flight per child.
-    Batch evaluation loops over rows; a row that fails is returned as NaN
-    and the diagnostic kept in ``last_error``.
+    One call exchanges a whole batch with the child: every request line is
+    written while the replies are read, in one ``select`` loop over both
+    pipes, so no batch size can deadlock on full pipe buffers. Calls are
+    serialized with a lock. A row that fails is returned as NaN and the
+    diagnostic kept in ``last_error``; after a failure that kills the child,
+    ``last_error`` names that failure.
     """
 
     def __init__(self, command, *, timeout: float = DEFAULT_TIMEOUT, name: str = "external"):
@@ -55,69 +98,72 @@ class ExternalDiscipline:
             )
         except OSError as exc:
             raise DisciplineFailure(f"could not start {self.command!r}: {exc}", kind="crash") from exc
-
-    def _read_line(self) -> bytes:
-        # One deadline for the whole line, so a child trickling bytes still times out.
-        deadline = time.monotonic() + self.timeout
-        fd = self._proc.stdout.fileno()
-        while b"\n" not in self._buffer:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0 or not select.select([fd], [], [], remaining)[0]:
-                raise DisciplineFailure(f"no response within {self.timeout:g} s", kind="timeout")
-            chunk = self._proc.stdout.read(65536)
-            if not chunk:
-                raise DisciplineFailure("child process closed its output stream", kind="crash")
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return line
-
-    def _call_one(self, z: np.ndarray, y_in: np.ndarray) -> np.ndarray:
-        if self._proc.poll() is not None:
-            raise DisciplineFailure(f"child process exited with code {self._proc.returncode}", kind="crash")
-        self._request_id += 1
-        request = {"id": self._request_id, "z": list(map(float, z)), "y_in": list(map(float, y_in))}
-        try:
-            self._proc.stdin.write((json.dumps(request) + "\n").encode("utf-8"))
-            self._proc.stdin.flush()
-            line = self._read_line()
-        except DisciplineFailure:
-            self._terminate()
-            raise
-        except (BrokenPipeError, OSError) as exc:
-            self._terminate()
-            raise DisciplineFailure(f"child process pipe broke: {exc}", kind="crash") from exc
-        try:
-            response = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._terminate()
-            raise DisciplineFailure(f"malformed response line: {exc}", kind="protocol") from exc
-        if not isinstance(response, dict) or response.get("id") != self._request_id:
-            self._terminate()
-            raise DisciplineFailure("response id does not match request id", kind="protocol")
-        if response.get("status") != "ok":
-            raise DisciplineFailure(str(response.get("message", "remote error")), kind="remote")
-        try:
-            return np.asarray(response["y_out"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DisciplineFailure(f"unusable y_out in response: {exc}", kind="protocol") from exc
+        os.set_blocking(self._proc.stdin.fileno(), False)
 
     def __call__(self, Z, Y_in) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         Y_in = np.atleast_2d(np.asarray(Y_in, dtype=float))
-        rows = []
-        with self._lock:
-            for z, y_in in zip(Z, Y_in):
-                try:
-                    rows.append(self._call_one(z, y_in))
-                except DisciplineFailure as exc:
-                    self.last_error = exc
-                    rows.append(None)
+        if Y_in.shape[0] != Z.shape[0]:
+            raise ValueError(f"{Z.shape[0]} design rows but {Y_in.shape[0]} coupling rows")
+        rows = [None] * Z.shape[0]
+        if rows:
+            with self._lock:
+                self._exchange(Z, Y_in, rows)
         width = next((r.size for r in rows if r is not None), 1)
         out = np.full((Z.shape[0], width), np.nan)
         for i, r in enumerate(rows):
             if r is not None and r.size == width:
                 out[i] = r
         return out
+
+    def _exchange(self, Z: np.ndarray, Y_in: np.ndarray, rows: list) -> None:
+        """Send every row of the batch and fill ``rows`` from the replies, in order."""
+        if self._proc.poll() is not None:
+            self.last_error = DisciplineFailure(f"child process exited with code {self._proc.returncode}", kind="crash")
+            return
+        first_id = self._request_id + 1
+        self._request_id += len(rows)
+        pending = memoryview(_encode_requests(first_id, Z, Y_in))
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        done = 0
+        deadline = time.monotonic() + self.timeout
+        try:
+            while done < len(rows):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    raise DisciplineFailure(f"no response within {self.timeout:g} s", kind="timeout")
+                readable, writable, _ = select.select([stdout], [stdin] if pending else [], [], remaining)
+                if writable:
+                    try:
+                        pending = pending[os.write(stdin, pending):]
+                    except BlockingIOError:
+                        pass
+                    except BrokenPipeError:
+                        # The child stopped reading; its replies already written are still read.
+                        pending = pending[:0]
+                if not readable:
+                    continue
+                chunk = os.read(stdout, 65536)
+                if not chunk:
+                    raise DisciplineFailure("child process closed its output stream", kind="crash")
+                self._buffer += chunk
+                start = 0
+                while done < len(rows) and (end := self._buffer.find(b"\n", start)) >= 0:
+                    reply = _parse_reply(self._buffer[start:end], first_id + done)
+                    if isinstance(reply, DisciplineFailure):
+                        self.last_error = reply
+                    else:
+                        rows[done] = reply
+                    done += 1
+                    start = end + 1
+                    deadline = time.monotonic() + self.timeout
+                self._buffer = self._buffer[start:]
+        except DisciplineFailure as exc:
+            self.last_error = exc
+            self._terminate()
+        except OSError as exc:
+            self.last_error = DisciplineFailure(f"child process pipe broke: {exc}", kind="crash")
+            self._terminate()
 
     def _terminate(self):
         if self._proc.poll() is None:
@@ -164,31 +210,42 @@ def load_external_problem(spec: dict | str) -> MdoProblem:
     ``cmd``, ``produces``, ``consumes`` and optional ``timeout``) and
     ``objective_cmd``, a child speaking the same protocol whose single
     output is the objective value at (z, y_star). ``reference`` with keys
-    ``z`` and ``objective`` is optional.
+    ``z`` and ``objective`` is optional. Close the problem to stop its
+    children.
     """
     if isinstance(spec, str):
         with open(spec, encoding="utf-8") as fh:
             spec = json.load(fh)
-    disciplines = []
-    for k, d in enumerate(spec["disciplines"]):
-        ev = ExternalDiscipline(d["cmd"], timeout=d.get("timeout", DEFAULT_TIMEOUT), name=f"external_{k}")
-        disciplines.append(Discipline(ev.name, produces=d["produces"], consumes=d["consumes"], fn=ev))
-    obj = ExternalDiscipline(spec["objective_cmd"], timeout=spec.get("timeout", DEFAULT_TIMEOUT), name="objective")
+    children = []
+    try:
+        disciplines = []
+        for k, d in enumerate(spec["disciplines"]):
+            ev = ExternalDiscipline(d["cmd"], timeout=d.get("timeout", DEFAULT_TIMEOUT), name=f"external_{k}")
+            children.append(ev)
+            disciplines.append(Discipline(ev.name, produces=d["produces"], consumes=d["consumes"], fn=ev))
+        obj = ExternalDiscipline(spec["objective_cmd"], timeout=spec.get("timeout", DEFAULT_TIMEOUT), name="objective")
+        children.append(obj)
 
-    def objective(Z, Ystar):
-        return obj(Z, Ystar)[:, 0]
+        def objective(Z, Ystar):
+            return obj(Z, Ystar)[:, 0]
 
-    reference = None
-    if "reference" in spec:
-        reference = ReferenceSolution(
-            z=np.asarray(spec["reference"]["z"], dtype=float),
-            objective=float(spec["reference"]["objective"]),
+        reference = None
+        if "reference" in spec:
+            reference = ReferenceSolution(
+                z=np.asarray(spec["reference"]["z"], dtype=float),
+                objective=float(spec["reference"]["objective"]),
+            )
+        return MdoProblem(
+            problem_id="external",
+            z_bounds=spec["z_bounds"],
+            y_bounds=spec["y_bounds"],
+            disciplines=tuple(disciplines),
+            objective=objective,
+            reference=reference,
+            resources=tuple(children),
         )
-    return MdoProblem(
-        problem_id="external",
-        z_bounds=spec["z_bounds"],
-        y_bounds=spec["y_bounds"],
-        disciplines=tuple(disciplines),
-        objective=objective,
-        reference=reference,
-    )
+    except BaseException:
+        # A spec that fails part way must not leave the children already started running.
+        for child in children:
+            child.close()
+        raise

@@ -54,7 +54,12 @@ class ReferenceSolution:
 
 @dataclass(frozen=True)
 class MdoProblem:
-    """Design-space bounds, coupling bounds, disciplines and objective."""
+    """Design-space bounds, coupling bounds, disciplines and objective.
+
+    ``resources`` are what the problem owns and ``close()`` releases, such as
+    the child processes behind external disciplines; use the problem as a
+    context manager to close them.
+    """
 
     problem_id: str
     z_bounds: np.ndarray  # (d_z, 2)
@@ -62,6 +67,7 @@ class MdoProblem:
     disciplines: tuple
     objective: object  # callable (Z, Y_star) -> (n,)
     reference: ReferenceSolution | None = None
+    resources: tuple = ()  # objects with a close() method
 
     def __post_init__(self):
         zb = np.asarray(self.z_bounds, dtype=float)
@@ -79,6 +85,16 @@ class MdoProblem:
         for d in self.disciplines:
             if np.any(d.consumes < 0) or np.any(d.consumes >= yb.shape[0]):
                 raise ValueError(f"discipline {d.name!r} consumes unknown coupling components")
+
+    def close(self) -> None:
+        for resource in self.resources:
+            resource.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     @property
     def d_z(self) -> int:

@@ -64,8 +64,8 @@ def build_problem(cfg: ExperimentConfig) -> MdoProblem:
 
 def run_replicate(cfg: ExperimentConfig, k: int, out_dir: str | None = None) -> RunRecord:
     """One independent replicate; persists its record when ``out_dir`` is given."""
-    problem = build_problem(cfg)
-    record = run_mdo_ts(problem, cfg, replicate=k)
+    with build_problem(cfg) as problem:
+        record = run_mdo_ts(problem, cfg, replicate=k)
     if out_dir is not None:
         save_run_record(record, os.path.join(out_dir, f"run_{k}.ndjson"))
     return record
@@ -115,9 +115,9 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
         warnings.warn(f"replicate {k} failed: {failures[k]}", stacklevel=2)
     records.sort(key=lambda r: r.replicate)
 
-    problem = build_problem(cfg)
-    reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
-    summary = summarize(problem, records, reference, tolerance=cfg.reference_tol, n_runs=cfg.repeat)
+    with build_problem(cfg) as problem:
+        reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
+        summary = summarize(problem, records, reference, tolerance=cfg.reference_tol, n_runs=cfg.repeat)
     return records, summary
 
 

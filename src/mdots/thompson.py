@@ -87,6 +87,10 @@ class ExperimentConfig:
             raise ValueError("n_doe must be at least 2")
         if self.n_iter < 0:
             raise ValueError("n_iter must be non-negative")
+        # The layer configs validate their own fields; build them now so a bad value fails here.
+        self.de_config(0)
+        self.mda_config()
+        self.penalty_spec()
 
     def de_config(self, seed: int) -> DeConfig:
         return DeConfig(

@@ -1,11 +1,13 @@
 """Test double for the line-protocol discipline adapter.
 
-Usage: python child_worker.py MODE
+Usage: python child_worker.py MODE [K]
 Modes:
     double    y_out = 2 * z
     sum       y_out = [z[0] + y_in[0]]
+    id        y_out = [request id]
     error     status=error with a message
-    crash     exit mid-request without responding
+    error-odd status=error on odd ids, otherwise as double
+    crash     answer K requests as double (default 0), then exit mid-request
     sleep     never respond
     garbage   write a non-JSON line
     wrong-id  respond with a mismatched id
@@ -20,10 +22,13 @@ import time
 
 def main():
     mode = sys.argv[1]
+    answers_left = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     for line in sys.stdin:
         request = json.loads(line)
         if mode == "crash":
-            sys.exit(3)
+            if answers_left == 0:
+                sys.exit(3)
+            answers_left -= 1
         if mode == "sleep":
             time.sleep(60.0)
         if mode == "garbage":
@@ -31,11 +36,13 @@ def main():
             sys.stdout.flush()
             continue
         response = {"id": request["id"], "status": "ok", "y_out": [], "message": ""}
-        if mode in ("double", "trickle"):
+        if mode in ("double", "trickle", "crash") or (mode == "error-odd" and request["id"] % 2 == 0):
             response["y_out"] = [2.0 * v for v in request["z"]]
         elif mode == "sum":
             response["y_out"] = [request["z"][0] + request["y_in"][0]]
-        elif mode == "error":
+        elif mode == "id":
+            response["y_out"] = [float(request["id"])]
+        elif mode in ("error", "error-odd"):
             response = {"id": request["id"], "status": "error", "y_out": [], "message": "remote solver blew up"}
         elif mode == "wrong-id":
             response["id"] = request["id"] + 17

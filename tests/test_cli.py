@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import sys
 import warnings
 
 import pytest
@@ -63,6 +64,36 @@ class TestStudyCommand:
         assert os.path.exists(os.path.join(out, "run_1.ndjson"))
         printed = capsys.readouterr().out
         assert "runs=2" in printed
+
+
+    def test_study_with_every_replicate_failed_still_writes_summary(self, tmp_path, capsys):
+        # Every discipline row answers status=error, so the DoE fails and no record is saved.
+        worker = os.path.join(os.path.dirname(__file__), "child_worker.py")
+        spec = {
+            "z_bounds": [[1.0, 4.0]],
+            "y_bounds": [[-20.0, 20.0]],
+            "disciplines": [{"cmd": [sys.executable, worker, "error"], "produces": [0], "consumes": []}],
+            "objective_cmd": [sys.executable, worker, "sum"],
+            "reference": {"z": [1.0], "objective": 3.0},
+        }
+        spec_path = tmp_path / "problem.json"
+        spec_path.write_text(json.dumps(spec))
+        out = str(tmp_path / "not" / "made" / "yet")
+        argv = ["study", "--problem", "external", "--external-cmd", str(spec_path), "--n-doe", "2", "--n-iter", "0"]
+        code = run_cli([*argv, "--repeat", "1", "--workers", "1", "--out", out])
+        assert code == 0
+        assert os.listdir(out) == ["summary.csv"]
+        assert "runs=1 converged=0" in capsys.readouterr().out
+
+    def test_invalid_layer_setting_rejected_before_any_run(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"problem": "toy", "de_mutation": 5.0}))
+        out = tmp_path / "study"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["study", "--config", str(cfg_file), "--repeat", "2", "--workers", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "mutation factor" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportCommand:

@@ -90,6 +90,23 @@ class TestRunBudget:
         with pytest.raises(ValueError):
             quiet_run(toy_problem(), ExperimentConfig(n_doe=4, n_iter=-1))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"de_mutation": 5.0},
+            {"de_crossover": 1.5},
+            {"de_population": 2},
+            {"de_window": 0},
+            {"mda_tol": -1.0},
+            {"mda_max_iterations": 0},
+            {"penalty_base": 0.0},
+            {"penalty_bound_weight": -1.0},
+        ],
+    )
+    def test_layer_settings_rejected_when_the_config_is_built(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
 
 class TestReproducibility:
     def test_identical_seeds_identical_records(self):
