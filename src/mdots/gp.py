@@ -4,6 +4,12 @@ Inputs are mapped to the unit box and targets standardized before anything
 touches the kernel, so hyperparameters always live in normalized space.
 The Cholesky factor of the regularized kernel matrix is cached on the
 fitted model; posterior sampling reuses it directly.
+
+Importing this module (and so ``mdots``) loads numpy only. SciPy's optimizer
+and triangular solves are imported inside the functions that use them, so
+SciPy loads at the first GP fit. A process that never fits or queries a GP
+(a reference re-solve, a report, the parent of a study on a pool) never
+loads it; a repeated function-level import costs about a microsecond.
 """
 
 from __future__ import annotations
@@ -11,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize
-from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "GpFitError",
@@ -149,6 +153,8 @@ def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     its per-call validation: ``fit`` and ``log_marginal_likelihood`` check
     their data for NaN and inf once, before any solve.
     """
+    from scipy.linalg.lapack import dtrtrs
+
     w, info = dtrtrs(L.T, b, lower=0, trans=1)
     if info == 0:
         x, info = dtrtrs(L.T, w, lower=0, trans=0)
@@ -292,6 +298,8 @@ def fit(
     starts.append(np.zeros(n_theta))
     starts.extend(rng.uniform(lo, hi, size=n_theta) for _ in range(restarts))
 
+    from scipy import optimize
+
     best_theta, best_val = None, np.inf
     for theta0 in starts:
         res = optimize.minimize(
@@ -346,6 +354,8 @@ def posterior_mean(s: TrainedSurrogate, x):
 
 def posterior_variance(s: TrainedSurrogate, x):
     """Posterior variance at ``x`` in raw output units, clamped at zero."""
+    from scipy import linalg
+
     Xq, single = _as_batch(x, s.dim)
     Xqn = s.norm.normalize_inputs(Xq)
     prior_var = np.full(Xq.shape[0], s.params.signal_variance)

@@ -97,8 +97,10 @@ def aitken_update(omega: np.ndarray, delta_prev: np.ndarray, delta_curr: np.ndar
     diff = delta_curr - delta_prev
     denom = np.einsum("ij,ij->i", diff, diff)
     num = np.einsum("ij,ij->i", delta_prev, diff)
-    omega = np.where(denom > 0.0, -omega * np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0), omega)
-    return np.clip(omega, bounds[0], bounds[1])
+    moved = denom > 0.0
+    omega = np.where(moved, -omega * np.divide(num, denom, out=np.zeros_like(num), where=moved), omega)
+    # np.clip's values, without its Python-level dispatch on every sweep.
+    return np.minimum(np.maximum(omega, bounds[0]), bounds[1])
 
 
 def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> BatchCouplingResult:
@@ -122,66 +124,71 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> B
     status = np.full(n, int(MdaStatus.MAX_ITERATIONS))
     iterations = np.full(n, cfg.max_iterations)
     residual = np.full(n, np.inf)
-    omega = np.full(n, cfg.omega_init if cfg.aitken else 1.0)
-    delta_prev = np.zeros_like(y)
-    has_prev = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
+    bounds = (cfg.omega_min, cfg.omega_max)
     failure_note = None
 
+    # The active rows' state, kept compacted in batch order: ``idx`` maps each
+    # active row back to the batch. Rows are scattered out and the rest
+    # gathered only when some row leaves, not on every sweep.
+    idx = np.arange(n)
+    Z_act, y_act, res_act = Z[idx], y[idx], residual[idx]
+    omega = np.full(n, cfg.omega_init if cfg.aitken else 1.0)
+    delta_prev = None  # every active row has one from sweep 2 on
+
+    def retire(rows, code, sweep, y_rows, res_rows):
+        gone = idx[rows]
+        status[gone] = int(code)
+        iterations[gone] = sweep
+        y[gone] = y_rows
+        residual[gone] = res_rows
+
     for sweep in range(1, cfg.max_iterations + 1):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        Z_act = Z[idx]
-        y_act = y[idx]
         y_new = y_act.copy()
-        failed = np.zeros(idx.size, dtype=bool)
+        failed = None
         with np.errstate(all="ignore"):
             for disc in disciplines:
                 try:
                     out = np.asarray(disc.fn(Z_act, y_new[:, disc.consumes]), dtype=float)
                 except DisciplineFailure as exc:
-                    failed[:] = True
+                    failed = np.ones(idx.size, dtype=bool)
                     failure_note = failure_note or f"discipline {disc.name!r}: {exc}"
                     break
                 out = out.reshape(idx.size, disc.produces.size)
-                bad = ~np.isfinite(out).all(axis=1)
-                if bad.any():
-                    failed |= bad
+                if not np.isfinite(out).all():
+                    bad = ~np.isfinite(out).all(axis=1)
+                    failed = bad if failed is None else failed | bad
                     failure_note = failure_note or f"discipline {disc.name!r} returned non-finite output"
                 y_new[:, disc.produces] = out
 
-        if failed.any():
-            fidx = idx[failed]
-            status[fidx] = int(MdaStatus.EVALUATOR_FAILURE)
-            iterations[fidx] = sweep
-            active[fidx] = False
+        if failed is not None:
+            retire(failed, MdaStatus.EVALUATOR_FAILURE, sweep, y_act[failed], res_act[failed])
             ok = ~failed
-            idx, y_act, y_new = idx[ok], y_act[ok], y_new[ok]
+            idx, Z_act, y_act, y_new, res_act, omega = idx[ok], Z_act[ok], y_act[ok], y_new[ok], res_act[ok], omega[ok]
+            if delta_prev is not None:
+                delta_prev = delta_prev[ok]
             if idx.size == 0:
-                continue
+                break
 
         delta = y_new - y_act
-        if cfg.aitken:
-            prev_ok = has_prev[idx]
-            if prev_ok.any():
-                pidx = idx[prev_ok]
-                omega[pidx] = aitken_update(omega[pidx], delta_prev[pidx], delta[prev_ok], (cfg.omega_min, cfg.omega_max))
-        applied = omega[idx, None] * delta
-        y_next = y_act + applied
-        res = np.abs(applied) / np.maximum(np.abs(y_next), RESIDUAL_FLOOR)
-        res = res.max(axis=1)
+        if cfg.aitken and delta_prev is not None:
+            omega = aitken_update(omega, delta_prev, delta, bounds)
+        applied = omega[:, None] * delta
+        y_act = y_act + applied
+        res_act = (np.abs(applied) / np.maximum(np.abs(y_act), RESIDUAL_FLOOR)).max(axis=1)
+        delta_prev = delta
 
-        y[idx] = y_next
-        delta_prev[idx] = delta
-        has_prev[idx] = True
-        residual[idx] = res
-        done = res <= cfg.tolerance
-        didx = idx[done]
-        status[didx] = int(MdaStatus.CONVERGED)
-        iterations[didx] = sweep
-        active[didx] = False
+        done = res_act <= cfg.tolerance
+        if done.any():
+            retire(done, MdaStatus.CONVERGED, sweep, y_act[done], res_act[done])
+            keep = ~done
+            idx, Z_act, y_act, res_act, omega, delta_prev = (
+                idx[keep], Z_act[keep], y_act[keep], res_act[keep], omega[keep], delta_prev[keep]
+            )
 
+    y[idx] = y_act
+    residual[idx] = res_act
     return BatchCouplingResult(y=y, status=status, iterations=iterations, residual=residual, failure=failure_note)
 
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import logging
 import os
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 WORKERS_ENV = "MDOTS_WORKERS"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -86,31 +89,55 @@ def resolve_workers(cfg: ExperimentConfig) -> int:
     return os.cpu_count() or 1
 
 
+def _timed_replicate(cfg: ExperimentConfig, k: int, out_dir: str | None):
+    """``(record, error, seconds)`` of one replicate; a failure is returned as its message."""
+    started = time.perf_counter()
+    try:
+        record, error = run_replicate(cfg, k, out_dir), None
+    except Exception as exc:
+        record, error = None, str(exc)
+    return record, error, time.perf_counter() - started
+
+
 def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
     """Run ``repeat`` independent replicates and summarize them.
 
     Replicates are keyed by index; execution order (and the worker pool
     width) cannot change any record or statistic. A replicate that fails
     outright is warned about and counted as a run that did not converge;
-    the study always completes.
+    the study always completes. Each finished replicate is logged at INFO
+    on the ``mdots.study`` logger, in the order they finish.
     """
     workers = min(resolve_workers(cfg), cfg.repeat)
     failures: dict[int, str] = {}
     records = []
+
+    def finish(k, record, error, seconds):
+        if error is None:
+            records.append(record)
+        else:
+            failures[k] = error
+        done = len(records) + len(failures)
+        log.info(
+            "replicate %d %s in %.2f s (%d of %d done)",
+            k, "ok" if error is None else "failed", seconds, done, cfg.repeat,
+        )
+
     if workers <= 1:
         for k in range(cfg.repeat):
-            try:
-                records.append(run_replicate(cfg, k, out_dir))
-            except Exception as exc:
-                failures[k] = str(exc)
+            finish(k, *_timed_replicate(cfg, k, out_dir))
     else:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        started = time.perf_counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {k: pool.submit(run_replicate, cfg, k, out_dir) for k in range(cfg.repeat)}
-            for k, future in futures.items():
+            futures = {pool.submit(_timed_replicate, cfg, k, out_dir): k for k in range(cfg.repeat)}
+            for future in as_completed(futures):
                 try:
-                    records.append(future.result())
-                except Exception as exc:
-                    failures[k] = str(exc)
+                    outcome = future.result()
+                except Exception as exc:  # the pool itself failed; time it from the study's start
+                    outcome = None, str(exc), time.perf_counter() - started
+                finish(futures[future], *outcome)
     for k in sorted(failures):
         warnings.warn(f"replicate {k} failed: {failures[k]}", stacklevel=2)
     records.sort(key=lambda r: r.replicate)

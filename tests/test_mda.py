@@ -204,3 +204,174 @@ class TestConfig:
             MdaConfig(omega_min=1.0, omega_max=0.5)
         with pytest.raises(ValueError):
             MdaConfig(omega_max=3.0)
+
+
+def reference_aitken_update(omega, delta_prev, delta_curr, bounds):
+    """The earlier ``aitken_update``, clamping with ``np.clip``."""
+    diff = delta_curr - delta_prev
+    denom = np.einsum("ij,ij->i", diff, diff)
+    num = np.einsum("ij,ij->i", delta_prev, diff)
+    omega = np.where(denom > 0.0, -omega * np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0), omega)
+    return np.clip(omega, bounds[0], bounds[1])
+
+
+def reference_solve_batch(disciplines, Z, y0, cfg):
+    """The earlier ``solve_batch``: gathers and scatters every row on every sweep.
+
+    Kept as the reference the compacted loop must match bit for bit.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    n = Z.shape[0]
+    y = np.array(np.atleast_2d(np.asarray(y0, dtype=float)), copy=True)
+    if y.shape[0] == 1 and n > 1:
+        y = np.repeat(y, n, axis=0)
+    status = np.full(n, int(MdaStatus.MAX_ITERATIONS))
+    iterations = np.full(n, cfg.max_iterations)
+    residual = np.full(n, np.inf)
+    omega = np.full(n, cfg.omega_init if cfg.aitken else 1.0)
+    delta_prev = np.zeros_like(y)
+    has_prev = np.zeros(n, dtype=bool)
+    active = np.ones(n, dtype=bool)
+    failure_note = None
+    for sweep in range(1, cfg.max_iterations + 1):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        Z_act = Z[idx]
+        y_act = y[idx]
+        y_new = y_act.copy()
+        failed = np.zeros(idx.size, dtype=bool)
+        with np.errstate(all="ignore"):
+            for disc in disciplines:
+                try:
+                    out = np.asarray(disc.fn(Z_act, y_new[:, disc.consumes]), dtype=float)
+                except DisciplineFailure as exc:
+                    failed[:] = True
+                    failure_note = failure_note or f"discipline {disc.name!r}: {exc}"
+                    break
+                out = out.reshape(idx.size, disc.produces.size)
+                bad = ~np.isfinite(out).all(axis=1)
+                if bad.any():
+                    failed |= bad
+                    failure_note = failure_note or f"discipline {disc.name!r} returned non-finite output"
+                y_new[:, disc.produces] = out
+        if failed.any():
+            fidx = idx[failed]
+            status[fidx] = int(MdaStatus.EVALUATOR_FAILURE)
+            iterations[fidx] = sweep
+            active[fidx] = False
+            ok = ~failed
+            idx, y_act, y_new = idx[ok], y_act[ok], y_new[ok]
+            if idx.size == 0:
+                continue
+        delta = y_new - y_act
+        if cfg.aitken:
+            prev_ok = has_prev[idx]
+            if prev_ok.any():
+                pidx = idx[prev_ok]
+                omega[pidx] = reference_aitken_update(
+                    omega[pidx], delta_prev[pidx], delta[prev_ok], (cfg.omega_min, cfg.omega_max)
+                )
+        applied = omega[idx, None] * delta
+        y_next = y_act + applied
+        res = np.abs(applied) / np.maximum(np.abs(y_next), 1e-12)
+        res = res.max(axis=1)
+        y[idx] = y_next
+        delta_prev[idx] = delta
+        has_prev[idx] = True
+        residual[idx] = res
+        done = res <= cfg.tolerance
+        didx = idx[done]
+        status[didx] = int(MdaStatus.CONVERGED)
+        iterations[didx] = sweep
+        active[didx] = False
+    return y, status, iterations, residual, failure_note
+
+
+def _rate_system(nan_after=None, raise_on_call=None):
+    """Two coupled linear disciplines whose contraction rate is the row's z[0].
+
+    ``nan_after`` makes the first discipline return NaN for rows with
+    z[0] > 0.6 from that call on; ``raise_on_call`` makes the second raise
+    a ``DisciplineFailure`` on that call. Counters start fresh per system.
+    """
+    calls = {"first": 0, "second": 0}
+
+    def first(Z, Y):
+        calls["first"] += 1
+        out = Z[:, 0] * Y[:, 0] + Z[:, 1]
+        if nan_after is not None and calls["first"] >= nan_after:
+            out = np.where(Z[:, 0] > 0.6, np.nan, out)
+        return out
+
+    def second(Z, Y):
+        calls["second"] += 1
+        if calls["second"] == raise_on_call:
+            raise DisciplineFailure("remote solver went away", kind="crash")
+        return np.sin(Y[:, 0]) * Z[:, 0] + 1.0
+
+    return [
+        Discipline("first", produces=[0], consumes=[1], fn=first),
+        Discipline("second", produces=[1], consumes=[0], fn=second),
+    ]
+
+
+RATES = np.array([[0.0, 1.0], [0.3, -2.0], [0.95, 0.5], [-0.7, 3.0], [0.8, 0.1], [0.5, 1.5], [-0.99, 0.2]])
+
+
+class TestCompactedLoopMatchesReference:
+    """``solve_batch`` keeps only its active rows; results equal the earlier full-gather loop."""
+
+    CASES = {
+        "nan-rows": (lambda: _rate_system(nan_after=3), RATES, np.zeros((7, 2)), MdaConfig(tolerance=1e-12)),
+        "nan-first-sweep": (lambda: _rate_system(nan_after=1), RATES, np.zeros((7, 2)), MdaConfig(tolerance=1e-12)),
+        "discipline-raises": (lambda: _rate_system(raise_on_call=5), RATES, np.zeros((7, 2)), MdaConfig(tolerance=1e-12)),
+        "sweep-cap": (_rate_system, RATES, np.zeros((7, 2)), MdaConfig(tolerance=1e-12, max_iterations=6)),
+        "no-aitken": (_rate_system, RATES, np.zeros((7, 2)), MdaConfig(tolerance=1e-12, max_iterations=40, aitken=False)),
+        "no-aitken-nan": (
+            lambda: _rate_system(nan_after=4), RATES, np.zeros((7, 2)), MdaConfig(tolerance=1e-12, aitken=False)
+        ),
+        "broadcast-y0": (_rate_system, RATES, np.array([[0.5, -0.5]]), MdaConfig(tolerance=1e-12)),
+        "one-row": (_rate_system, RATES[2:3], np.zeros((1, 2)), MdaConfig(tolerance=1e-12, max_iterations=9)),
+        "sellar": (
+            lambda: sellar_problem().disciplines,
+            np.random.default_rng(3).uniform([-10.0, 0.0, 0.0], [10.0, 10.0, 10.0], size=(45, 3)),
+            np.array([[12.0, 12.0]]),
+            MdaConfig(tolerance=1e-2),
+        ),
+        "toy-cap": (
+            lambda: toy_problem().disciplines,
+            np.random.default_rng(4).uniform(-5.0, 5.0, size=(30, 1)),
+            toy_problem().y_midpoint()[None, :],
+            MdaConfig(tolerance=1e-14, max_iterations=12),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bit_identical(self, case):
+        make, Z, y0, cfg = self.CASES[case]
+        res = solve_batch(make(), Z, y0, cfg)
+        y, status, iterations, residual, failure = reference_solve_batch(make(), Z, y0, cfg)
+        np.testing.assert_array_equal(res.y, y)
+        np.testing.assert_array_equal(res.status, status)
+        np.testing.assert_array_equal(res.iterations, iterations)
+        np.testing.assert_array_equal(res.residual, residual)
+        assert res.failure == failure
+
+    def test_aitken_update_matches_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n, d = rng.integers(1, 40), rng.integers(1, 4)
+            omega = rng.uniform(-3.0, 3.0, n)
+            prev = rng.normal(size=(n, d)) * rng.choice([1e-300, 1.0, 1e300], size=(n, d))
+            curr = np.where(rng.random((n, d)) < 0.7, rng.normal(size=(n, d)), prev)  # some rows unchanged
+            with np.errstate(all="ignore"):
+                got = aitken_update(omega, prev, curr, BOUNDS)
+                want = reference_aitken_update(omega, prev, curr, BOUNDS)
+            np.testing.assert_array_equal(got, want)
+
+    def test_cases_reach_every_status(self):
+        seen = set()
+        for make, Z, y0, cfg in self.CASES.values():
+            seen.update(solve_batch(make(), Z, y0, cfg).status.tolist())
+        assert seen == {int(s) for s in MdaStatus}

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import logging
+import re
 import warnings
 
 import numpy as np
@@ -197,6 +199,22 @@ class TestStudy:
                 b.final_value,
             )
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_each_finished_replicate_is_logged(self, caplog, workers):
+        cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=0, repeat=3, seed=21, workers=workers)
+        with caplog.at_level(logging.INFO, logger="mdots.study"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records, _ = run_study(cfg)
+        lines = [r for r in caplog.records if r.name == "mdots.study"]
+        assert [r.levelno for r in lines] == [logging.INFO] * 3
+        pattern = r"replicate (\d) (ok|failed) in (\d+\.\d\d) s \((\d) of 3 done\)"
+        parsed = [re.fullmatch(pattern, r.getMessage()) for r in lines]
+        assert all(parsed), [r.getMessage() for r in lines]
+        assert sorted(int(m[1]) for m in parsed) == [0, 1, 2]
+        assert [m[2] for m in parsed] == ["ok"] * 3
+        assert [int(m[4]) for m in parsed] == [1, 2, 3]
+        assert [r.replicate for r in records] == [0, 1, 2]
+
     def test_single_replicate_degenerates_to_run(self):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=0, repeat=1, seed=4, workers=1)
         with warnings.catch_warnings():
@@ -227,7 +245,7 @@ class TestStudy:
         assert summary.variables[0].reference == 0.0
         assert summary.variables[0].mean_abs_pct_err is None
 
-    def test_replicate_failure_is_recorded_not_fatal(self, monkeypatch):
+    def test_replicate_failure_is_recorded_not_fatal(self, monkeypatch, caplog):
         import mdots.study as study_mod
 
         real = study_mod.run_replicate
@@ -239,8 +257,11 @@ class TestStudy:
 
         monkeypatch.setattr(study_mod, "run_replicate", sometimes_broken)
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=0, repeat=2, seed=12, workers=1)
-        with pytest.warns(UserWarning, match="replicate 0 failed"):
-            records, summary = run_study(cfg)
+        with caplog.at_level(logging.INFO, logger="mdots.study"):
+            with pytest.warns(UserWarning, match="replicate 0 failed"):
+                records, summary = run_study(cfg)
+        messages = [r.getMessage() for r in caplog.records if r.name == "mdots.study"]
+        assert [m.split(" in ")[0] for m in messages] == ["replicate 0 failed", "replicate 1 ok"]
         assert len(records) == 1
         assert summary.n_runs == 2
         assert summary.n_converged <= 1
