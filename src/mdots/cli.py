@@ -118,7 +118,7 @@ def _cmd_report(args, parser) -> int:
     os.makedirs(out_dir, exist_ok=True)
     for record in records:
         write_trace_csv(record, os.path.join(out_dir, f"trace_run_{record.replicate}.csv"))
-    cfg = ExperimentConfig(**records[0].config)
+    cfg = ExperimentConfig.from_dict(records[0].config)
     with build_problem(cfg) as problem:
         reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
         summary = summarize(problem, records, reference, tolerance=cfg.reference_tol)

@@ -78,20 +78,18 @@ def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
-def _scores(objective, pop: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        vals = np.asarray(objective(pop), dtype=float)
-    else:
-        vals = np.array([float(objective(row)) for row in pop])
+def _scores(objective, pop: np.ndarray) -> np.ndarray:
+    vals = np.asarray(objective(pop), dtype=float)
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
-def de_minimize(objective, bounds, cfg: DeConfig, vectorized: bool = False) -> DeResult:
+def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
     """Minimize over a box; deterministic given the config seed.
 
-    Stops after ``max_generations`` or once the best value has improved by
-    less than ``tol`` over the last ``window`` generations. Non-finite
-    objective values are treated as +inf.
+    ``objective`` scores a whole population at once: it takes ``(n, d)``
+    and returns ``(n,)``. Stops after ``max_generations`` or once the best
+    value has improved by less than ``tol`` over the last ``window``
+    generations. Non-finite objective values are treated as +inf.
     """
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2 or not np.all(np.isfinite(bounds)):
@@ -102,7 +100,7 @@ def de_minimize(objective, bounds, cfg: DeConfig, vectorized: bool = False) -> D
     rng = np.random.default_rng(cfg.seed)
 
     pop = lhs(bounds, n_pop, rng)
-    vals = _scores(objective, pop, vectorized)
+    vals = _scores(objective, pop)
     evaluations = n_pop
     history = [float(vals.min())]
 
@@ -121,7 +119,7 @@ def de_minimize(objective, bounds, cfg: DeConfig, vectorized: bool = False) -> D
         parents = picks + (picks >= rows)  # skip the individual itself
         mutants = pop[parents[:, 0]] + cfg.mutation * (pop[parents[:, 1]] - pop[parents[:, 2]])
         trials = np.where(cross, _reflect(mutants, lo, hi), pop)
-        trial_vals = _scores(objective, trials, vectorized)
+        trial_vals = _scores(objective, trials)
         evaluations += n_pop
         better = trial_vals <= vals
         pop[better] = trials[better]
@@ -149,8 +147,8 @@ def penalized_mdo_objective(evaluators, problem: MdoProblem, penalty: PenaltySpe
     violations; unconverged ones score ``base`` plus the objective at the
     last iterate when that is finite. Anything non-finite becomes +inf.
 
-    The returned callable accepts one design point ``(d_z,)`` or a batch
-    ``(n, d_z)``.
+    The returned callable takes a batch of design points ``(n, d_z)`` and
+    returns ``(n,)``.
     """
     if len(evaluators) != problem.n_disciplines:
         raise ValueError("one evaluator per discipline is required")
@@ -159,10 +157,8 @@ def penalized_mdo_objective(evaluators, problem: MdoProblem, penalty: PenaltySpe
     width = hi - lo
     midpoint = problem.y_midpoint()
 
-    def objective(z):
-        Z = np.asarray(z, dtype=float)
-        single = Z.ndim == 1
-        Z = np.atleast_2d(Z)
+    def objective(Z):
+        Z = np.asarray(Z, dtype=float)
         res = solve_batch(disciplines, Z, np.tile(midpoint, (Z.shape[0], 1)), mda_cfg)
         with np.errstate(all="ignore"):
             f = np.asarray(problem.objective(Z, res.y), dtype=float)
@@ -177,7 +173,6 @@ def penalized_mdo_objective(evaluators, problem: MdoProblem, penalty: PenaltySpe
             f,
             np.where(converged, f + penalty.base + penalty.bound_weight * viol, penalty.base + f_fallback),
         )
-        value = np.where(np.isfinite(value), value, np.inf)
-        return float(value[0]) if single else value
+        return np.where(np.isfinite(value), value, np.inf)
 
     return objective

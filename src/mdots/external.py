@@ -54,8 +54,8 @@ def _encode_requests(first_id: int, Z: np.ndarray, Y_in: np.ndarray) -> bytes:
     ).encode("utf-8")
 
 
-def _parse_reply(line: bytes, request_id: int):
-    """The row's outputs, or a failure of that row alone; raises if the stream itself is broken."""
+def _parse_reply(line: bytes, request_id: int, width: int):
+    """The row's ``width`` outputs, or a failure of that row alone; raises if the stream itself is broken."""
     try:
         response = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -65,9 +65,12 @@ def _parse_reply(line: bytes, request_id: int):
     if response.get("status") != "ok":
         return DisciplineFailure(str(response.get("message", "remote error")), kind="remote")
     try:
-        return np.asarray(response["y_out"], dtype=float)
+        y_out = np.asarray(response["y_out"], dtype=float).ravel()
     except (KeyError, TypeError, ValueError) as exc:
         return DisciplineFailure(f"unusable y_out in response: {exc}", kind="protocol")
+    if y_out.size != width:
+        return DisciplineFailure(f"y_out has {y_out.size} values, expected {width}", kind="protocol")
+    return y_out
 
 
 class ExternalDiscipline:
@@ -76,13 +79,15 @@ class ExternalDiscipline:
     One call exchanges a whole batch with the child: every request line is
     written while the replies are read, in one ``select`` loop over both
     pipes, so no batch size can deadlock on full pipe buffers. Calls are
-    serialized with a lock. A row that fails is returned as NaN and the
-    diagnostic kept in ``last_error``; after a failure that kills the child,
-    ``last_error`` names that failure.
+    serialized with a lock. Each reply must carry ``n_outputs`` values. A row
+    that fails, a reply of the wrong width included, is returned as NaN and
+    the diagnostic kept in ``last_error``; after a failure that kills the
+    child, ``last_error`` names that failure.
     """
 
-    def __init__(self, command, *, timeout: float = DEFAULT_TIMEOUT, name: str = "external"):
+    def __init__(self, command, *, n_outputs: int = 1, timeout: float = DEFAULT_TIMEOUT, name: str = "external"):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        self.n_outputs = n_outputs
         self.timeout = timeout
         self.name = name
         self.last_error: DisciplineFailure | None = None
@@ -105,18 +110,13 @@ class ExternalDiscipline:
         Y_in = np.atleast_2d(np.asarray(Y_in, dtype=float))
         if Y_in.shape[0] != Z.shape[0]:
             raise ValueError(f"{Z.shape[0]} design rows but {Y_in.shape[0]} coupling rows")
-        rows = [None] * Z.shape[0]
-        if rows:
+        out = np.full((Z.shape[0], self.n_outputs), np.nan)
+        if len(out):
             with self._lock:
-                self._exchange(Z, Y_in, rows)
-        width = next((r.size for r in rows if r is not None), 1)
-        out = np.full((Z.shape[0], width), np.nan)
-        for i, r in enumerate(rows):
-            if r is not None and r.size == width:
-                out[i] = r
+                self._exchange(Z, Y_in, out)
         return out
 
-    def _exchange(self, Z: np.ndarray, Y_in: np.ndarray, rows: list) -> None:
+    def _exchange(self, Z: np.ndarray, Y_in: np.ndarray, rows: np.ndarray) -> None:
         """Send every row of the batch and fill ``rows`` from the replies, in order."""
         if self._proc.poll() is not None:
             self.last_error = DisciplineFailure(f"child process exited with code {self._proc.returncode}", kind="crash")
@@ -149,7 +149,7 @@ class ExternalDiscipline:
                 self._buffer += chunk
                 start = 0
                 while done < len(rows) and (end := self._buffer.find(b"\n", start)) >= 0:
-                    reply = _parse_reply(self._buffer[start:end], first_id + done)
+                    reply = _parse_reply(self._buffer[start:end], first_id + done, self.n_outputs)
                     if isinstance(reply, DisciplineFailure):
                         self.last_error = reply
                     else:
@@ -170,14 +170,6 @@ class ExternalDiscipline:
             self._proc.kill()
             self._proc.wait()
 
-    def _close_pipes(self):
-        for pipe in (self._proc.stdin, self._proc.stdout):
-            if pipe is not None and not pipe.closed:
-                try:
-                    pipe.close()
-                except OSError:
-                    pass
-
     def close(self):
         if self._proc.poll() is None:
             try:
@@ -188,7 +180,11 @@ class ExternalDiscipline:
                 self._proc.wait(timeout=2.0)
             except subprocess.TimeoutExpired:
                 self._terminate()
-        self._close_pipes()
+        for pipe in (self._proc.stdin, self._proc.stdout):  # closing a closed pipe is a no-op
+            try:
+                pipe.close()
+            except OSError:
+                pass
 
     def __enter__(self):
         return self
@@ -207,11 +203,11 @@ def load_external_problem(spec: dict | str) -> MdoProblem:
     """Build an MdoProblem from an external-problem spec (dict or JSON file path).
 
     Expected keys: ``z_bounds``, ``y_bounds``, ``disciplines`` (each with
-    ``cmd``, ``produces``, ``consumes`` and optional ``timeout``) and
-    ``objective_cmd``, a child speaking the same protocol whose single
-    output is the objective value at (z, y_star). ``reference`` with keys
-    ``z`` and ``objective`` is optional. Close the problem to stop its
-    children.
+    ``cmd``, ``produces``, ``consumes`` and optional ``timeout``; each reply
+    carries one value per ``produces`` entry) and ``objective_cmd``, a child
+    speaking the same protocol whose single output is the objective value at
+    (z, y_star). ``reference`` with keys ``z`` and ``objective`` is
+    optional. Close the problem to stop its children.
     """
     if isinstance(spec, str):
         with open(spec, encoding="utf-8") as fh:
@@ -220,7 +216,9 @@ def load_external_problem(spec: dict | str) -> MdoProblem:
     try:
         disciplines = []
         for k, d in enumerate(spec["disciplines"]):
-            ev = ExternalDiscipline(d["cmd"], timeout=d.get("timeout", DEFAULT_TIMEOUT), name=f"external_{k}")
+            ev = ExternalDiscipline(
+                d["cmd"], n_outputs=len(d["produces"]), timeout=d.get("timeout", DEFAULT_TIMEOUT), name=f"external_{k}"
+            )
             children.append(ev)
             disciplines.append(Discipline(ev.name, produces=d["produces"], consumes=d["consumes"], fn=ev))
         obj = ExternalDiscipline(spec["objective_cmd"], timeout=spec.get("timeout", DEFAULT_TIMEOUT), name="objective")

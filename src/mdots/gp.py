@@ -3,7 +3,10 @@
 Inputs are mapped to the unit box and targets standardized before anything
 touches the kernel, so hyperparameters always live in normalized space.
 The Cholesky factor of the regularized kernel matrix is cached on the
-fitted model; posterior sampling reuses it directly.
+fitted model; posterior sampling reuses it directly. Every fitted model has
+data: ``fit`` needs two points and deduplication keeps at least one.
+Queries take a batch ``(n, d)`` and return ``(n,)``; a single point ``(d,)``
+goes through ``_as_batch`` as a batch of one and comes back as a float.
 
 Importing this module (and so ``mdots``) loads numpy only. SciPy's optimizer
 and triangular solves are imported inside the functions that use them, so
@@ -23,13 +26,11 @@ __all__ = [
     "KernelParams",
     "NormStats",
     "TrainedSurrogate",
-    "kernel_eval",
     "kernel_matrix",
     "log_marginal_likelihood",
     "fit",
     "posterior_mean",
     "posterior_variance",
-    "prior_surrogate",
 ]
 
 # Box for length scales and signal variance during hyperparameter search.
@@ -83,22 +84,16 @@ class NormStats:
     def normalize_inputs(self, X: np.ndarray) -> np.ndarray:
         return (X - self.input_shift) / self.input_scale
 
-    @staticmethod
-    def identity(dim: int) -> "NormStats":
-        return NormStats(np.zeros(dim), np.ones(dim), 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class TrainedSurrogate:
-    """A fitted GP for one scalar output.
+    """A fitted GP for one scalar output, on at least one (deduplicated) point.
 
     ``chol`` is the lower Cholesky factor of K + nugget*I in normalized
     space and ``alpha`` the cached solve of that system against the
     standardized targets.
     """
 
-    X: np.ndarray
-    y: np.ndarray
     params: KernelParams
     chol: np.ndarray
     alpha: np.ndarray
@@ -116,22 +111,13 @@ class TrainedSurrogate:
 
 
 def _as_batch(x, dim: int):
+    """``x`` as rows ``(n, dim)``, and whether it was one point ``(dim,)``."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     arr = np.atleast_2d(arr)
     if arr.shape[1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got {arr.shape[1]}")
     return arr, single
-
-
-def kernel_eval(params: KernelParams, x, xp) -> float:
-    """Evaluate k(x, x') for single points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    if x.size != xp.size or x.size != params.dim:
-        raise ValueError("dimension mismatch between points and length scales")
-    r = (x - xp) / params.length_scales
-    return float(params.signal_variance * np.exp(-0.5 * np.dot(r, r)))
 
 
 def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -284,7 +270,7 @@ def fit(
     norm = _norm_stats(X, y)
     X_norm = norm.normalize_inputs(X)
     keep = _dedup_keep_latest(X_norm)
-    X, X_norm, y = X[keep], X_norm[keep], y[keep]
+    X_norm, y = X_norm[keep], y[keep]
     y_std = (y - norm.output_mean) / norm.output_std
 
     dim = X.shape[1]
@@ -317,37 +303,15 @@ def fit(
     params = _theta_to_params(best_theta, dim, isotropic, nugget)
     L, params = _chol_with_escalation(params, X_norm)
     alpha = _solve_chol(L, y_std)
-    for arr in (X, y, L, alpha, X_norm, y_std):
+    for arr in (L, alpha, X_norm, y_std):
         arr.setflags(write=False)
-    return TrainedSurrogate(X=X, y=y, params=params, chol=L, alpha=alpha, norm=norm, X_norm=X_norm, y_std=y_std)
-
-
-def prior_surrogate(params: KernelParams, dim: int) -> TrainedSurrogate:
-    """A data-free surrogate (identity normalization); posterior equals the prior."""
-    if params.dim != dim:
-        raise ValueError("params dimension disagrees with dim")
-    empty2 = np.empty((0, dim))
-    empty1 = np.empty(0)
-    return TrainedSurrogate(
-        X=empty2,
-        y=empty1,
-        params=params,
-        chol=np.empty((0, 0)),
-        alpha=empty1,
-        norm=NormStats.identity(dim),
-        X_norm=empty2,
-        y_std=empty1,
-    )
+    return TrainedSurrogate(params=params, chol=L, alpha=alpha, norm=norm, X_norm=X_norm, y_std=y_std)
 
 
 def posterior_mean(s: TrainedSurrogate, x):
     """Posterior mean at ``x`` in raw output units; accepts a point or a batch."""
     Xq, single = _as_batch(x, s.dim)
-    Xqn = s.norm.normalize_inputs(Xq)
-    if s.n == 0:
-        m = np.zeros(Xq.shape[0])
-    else:
-        m = kernel_matrix(s.params, Xqn, s.X_norm) @ s.alpha
+    m = kernel_matrix(s.params, s.norm.normalize_inputs(Xq), s.X_norm) @ s.alpha
     out = s.norm.output_mean + s.norm.output_std * m
     return float(out[0]) if single else out
 
@@ -357,13 +321,8 @@ def posterior_variance(s: TrainedSurrogate, x):
     from scipy import linalg
 
     Xq, single = _as_batch(x, s.dim)
-    Xqn = s.norm.normalize_inputs(Xq)
-    prior_var = np.full(Xq.shape[0], s.params.signal_variance)
-    if s.n == 0:
-        var = prior_var
-    else:
-        Kxs = kernel_matrix(s.params, Xqn, s.X_norm)
-        w = linalg.solve_triangular(s.chol, Kxs.T, lower=True)
-        var = prior_var - np.einsum("ij,ij->j", w, w)
+    Kxs = kernel_matrix(s.params, s.norm.normalize_inputs(Xq), s.X_norm)
+    w = linalg.solve_triangular(s.chol, Kxs.T, lower=True)
+    var = s.params.signal_variance - np.einsum("ij,ij->j", w, w)
     out = np.maximum(var, 0.0) * s.norm.output_std**2
     return float(out[0]) if single else out

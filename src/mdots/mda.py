@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 RESIDUAL_FLOOR = 1e-12
+# Aitken relaxation: the factor every row starts from, and the interval it is clamped to.
+OMEGA_INIT = 0.5
+OMEGA_BOUNDS = (0.05, 2.0)
 
 
 class DisciplineFailure(RuntimeError):
@@ -47,22 +50,17 @@ class MdaStatus(enum.IntEnum):
 
 @dataclass(frozen=True)
 class MdaConfig:
-    """Tolerances and relaxation settings for one coupled solve."""
+    """Tolerance, sweep cap and whether to apply Aitken relaxation, for one coupled solve."""
 
     tolerance: float = 1e-10
     max_iterations: int = 200
     aitken: bool = True
-    omega_init: float = 0.5
-    omega_min: float = 0.05
-    omega_max: float = 2.0
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not (0.0 < self.omega_min <= self.omega_max <= 2.0):
-            raise ValueError("relaxation bounds must satisfy 0 < omega_min <= omega_max <= 2")
 
 
 @dataclass
@@ -112,6 +110,10 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> B
     when their maximum relative component change drops below the tolerance,
     when an evaluator returns a non-finite output (EVALUATOR_FAILURE, the
     last valid iterate is kept) or when the sweep budget runs out.
+
+    Failures: a non-finite output row fails that row only, and is the only
+    per-row failure channel. A ``DisciplineFailure`` raised by an evaluator
+    fails every row still active in that call, with one failure note.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     n = Z.shape[0]
@@ -124,7 +126,6 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> B
     status = np.full(n, int(MdaStatus.MAX_ITERATIONS))
     iterations = np.full(n, cfg.max_iterations)
     residual = np.full(n, np.inf)
-    bounds = (cfg.omega_min, cfg.omega_max)
     failure_note = None
 
     # The active rows' state, kept compacted in batch order: ``idx`` maps each
@@ -132,7 +133,7 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> B
     # gathered only when some row leaves, not on every sweep.
     idx = np.arange(n)
     Z_act, y_act, res_act = Z[idx], y[idx], residual[idx]
-    omega = np.full(n, cfg.omega_init if cfg.aitken else 1.0)
+    omega = np.full(n, OMEGA_INIT if cfg.aitken else 1.0)
     delta_prev = None  # every active row has one from sweep 2 on
 
     def retire(rows, code, sweep, y_rows, res_rows):
@@ -173,7 +174,7 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> B
 
         delta = y_new - y_act
         if cfg.aitken and delta_prev is not None:
-            omega = aitken_update(omega, delta_prev, delta, bounds)
+            omega = aitken_update(omega, delta_prev, delta, OMEGA_BOUNDS)
         applied = omega[:, None] * delta
         y_act = y_act + applied
         res_act = (np.abs(applied) / np.maximum(np.abs(y_act), RESIDUAL_FLOOR)).max(axis=1)

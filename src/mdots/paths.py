@@ -3,7 +3,10 @@
 A draw is a continuous, deterministic function cheap enough to sit inside an
 iterative coupled solve: a cosine expansion of the prior (frequencies from the
 kernel's spectral density) corrected by a kernel-weighted residual term that
-pins the path to the training data.
+pins the path to the training data. Every surrogate a path is drawn from
+has data (``gp.fit`` needs two points). ``eval_path`` scores a batch of
+points ``(n, d)`` in one call, as the coupled solve does; one point ``(d,)``
+goes through the same code as a batch of one.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import KernelParams, TrainedSurrogate, _solve_chol, kernel_matrix
+from .gp import KernelParams, TrainedSurrogate, _as_batch, _solve_chol, kernel_matrix
 
 __all__ = ["FeatureMap", "PathSample", "sample_feature_map", "draw_path", "eval_path"]
 
@@ -81,27 +84,18 @@ def draw_path(surrogate: TrainedSurrogate, n_features: int = DEFAULT_FEATURES, r
     """
     rng = np.random.default_rng(rng)
     fm = sample_feature_map(surrogate.params, surrogate.dim, n_features, rng)
-    if surrogate.n:
-        eps = rng.standard_normal(surrogate.n) * np.sqrt(surrogate.params.nugget)
-        resid = surrogate.y_std - _prior_values(fm, surrogate.X_norm) - eps
-        v = _solve_chol(surrogate.chol, resid)
-    else:
-        v = np.empty(0)
+    eps = rng.standard_normal(surrogate.n) * np.sqrt(surrogate.params.nugget)
+    resid = surrogate.y_std - _prior_values(fm, surrogate.X_norm) - eps
+    v = _solve_chol(surrogate.chol, resid)
     v.setflags(write=False)
     return PathSample(features=fm, update_coeffs=v, anchor=surrogate)
 
 
 def eval_path(path: PathSample, x):
-    """Evaluate the path at a point (d,) or batch (n, d); raw output units."""
+    """Evaluate the path at a batch (n, d) or a point (d,); raw output units."""
     s = path.anchor
-    Xq = np.asarray(x, dtype=float)
-    single = Xq.ndim == 1
-    Xq = np.atleast_2d(Xq)
-    if Xq.shape[1] != s.dim:
-        raise ValueError(f"expected points of dimension {s.dim}, got {Xq.shape[1]}")
+    Xq, single = _as_batch(x, s.dim)
     Xqn = s.norm.normalize_inputs(Xq)
-    vals = _prior_values(path.features, Xqn)
-    if path.update_coeffs.size:
-        vals = vals + kernel_matrix(s.params, Xqn, s.X_norm) @ path.update_coeffs
+    vals = _prior_values(path.features, Xqn) + kernel_matrix(s.params, Xqn, s.X_norm) @ path.update_coeffs
     out = s.norm.output_mean + s.norm.output_std * vals
     return float(out[0]) if single else out

@@ -3,8 +3,9 @@
 A problem is a set of disciplines wired through a flat coupling vector:
 each discipline produces some components and consumes the components
 produced by the others. Discipline callables are batch-first,
-``fn(Z, Y_in) -> (n, n_out)``, and signal pointwise failures by returning
-non-finite rows.
+``fn(Z, Y_in) -> (n, n_out)``. A non-finite output row fails that row
+alone, and is the only way to fail rows one by one. A callable that raises
+``mda.DisciplineFailure`` fails every row of that call.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class Discipline:
     def __post_init__(self):
         object.__setattr__(self, "produces", np.asarray(self.produces, dtype=int))
         object.__setattr__(self, "consumes", np.asarray(self.consumes, dtype=int))
-
-    @property
-    def n_outputs(self) -> int:
-        return self.produces.size
 
 
 @dataclass(frozen=True)
@@ -116,15 +113,11 @@ class MdoProblem:
         """Coupling-box midpoint, where every coupled solve starts."""
         return 0.5 * (self.y_bounds[:, 0] + self.y_bounds[:, 1])
 
-    def solve_exact(self, z, tolerance: float = 1e-10, max_iterations: int = 500):
-        """Coupled solve with the true disciplines at reference tightness."""
-        cfg = MdaConfig(tolerance=tolerance, max_iterations=max_iterations)
-        return gauss_seidel_solve(self.disciplines, z, self.y_midpoint(), cfg)
-
     def true_objective(self, z, tolerance: float = 1e-10):
-        """Objective at the true coupled solution of ``z`` (NaN if unconverged)."""
+        """Objective at the true coupled solution of ``z`` (NaN if unconverged), and that solve's state."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        state = self.solve_exact(z, tolerance=tolerance)
+        cfg = MdaConfig(tolerance=tolerance, max_iterations=500)
+        state = gauss_seidel_solve(self.disciplines, z, self.y_midpoint(), cfg)
         if int(state.status) != 0:
             return float("nan"), state
         return float(self.objective(z[None, :], state.y[None, :])[0]), state
@@ -227,7 +220,7 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
         Z = pts[:, : problem.d_z]
         Yin = pts[:, problem.d_z :]
         with np.errstate(all="ignore"):
-            out = np.asarray(disc.fn(Z, Yin), dtype=float).reshape(n_doe, disc.n_outputs)
+            out = np.asarray(disc.fn(Z, Yin), dtype=float).reshape(n_doe, disc.produces.size)
         ok = np.isfinite(out).all(axis=1)
         if not ok.all():
             warnings.warn(

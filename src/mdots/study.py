@@ -76,7 +76,7 @@ def run_replicate(cfg: ExperimentConfig, k: int, out_dir: str | None = None) -> 
 
 def run_from_record(record: RunRecord, out_dir: str | None = None) -> RunRecord:
     """Re-launch a run from the config embedded in its record."""
-    cfg = ExperimentConfig(**record.config)
+    cfg = ExperimentConfig.from_dict(record.config)
     return run_replicate(cfg, record.replicate, out_dir=out_dir)
 
 
@@ -156,7 +156,7 @@ def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: f
     mda_cfg = MdaConfig(tolerance=tolerance, max_iterations=500)
     objective = penalized_mdo_objective(evaluators, problem, PenaltySpec(), mda_cfg)
     de_cfg = DeConfig(max_generations=400, seed=0)
-    result = de_minimize(objective, problem.z_bounds, de_cfg, vectorized=True)
+    result = de_minimize(objective, problem.z_bounds, de_cfg)
     f_true, _ = problem.true_objective(result.z, tolerance=tolerance)
     return ReferenceSolution(z=result.z, objective=float(f_true))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -91,6 +91,14 @@ class ExperimentConfig:
         self.de_config(0)
         self.mda_config()
         self.penalty_spec()
+
+    @classmethod
+    def from_dict(cls, settings: dict) -> "ExperimentConfig":
+        """The config a record's header holds; a setting this version does not know is a ValueError."""
+        unknown = sorted(set(settings) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"record config has unknown setting(s): {', '.join(map(repr, unknown))}")
+        return cls(**settings)
 
     def de_config(self, seed: int) -> DeConfig:
         return DeConfig(
@@ -171,8 +179,7 @@ def refine_discipline(sset: SurrogateSet, m: int, x_new, y_new, cfg: ExperimentC
 def _stacked(fns):
     def evaluator(Z, Yin):
         X = np.concatenate([np.atleast_2d(Z), np.atleast_2d(Yin)], axis=1)
-        cols = [f(X) for f in fns]
-        return cols[0][:, None] if len(cols) == 1 else np.column_stack(cols)
+        return np.column_stack([f(X) for f in fns])
 
     return evaluator
 
@@ -185,12 +192,10 @@ def path_evaluators(sset: SurrogateSet, n_features: int, rng):
     """
     rng = np.random.default_rng(rng)
     evaluators = []
-    all_paths = []
     for models in sset.models:
         paths = [draw_path(s, n_features, rng) for s in models]
-        all_paths.append(paths)
         evaluators.append(_stacked([lambda X, p=p: eval_path(p, X) for p in paths]))
-    return evaluators, all_paths
+    return evaluators
 
 
 def mean_evaluators(sset: SurrogateSet):
@@ -208,7 +213,7 @@ def solve_random_mdo(evaluators, problem: MdoProblem, penalty: PenaltySpec, de_c
     that point (last iterate when unconverged) and the penalized value.
     """
     objective = penalized_mdo_objective(evaluators, problem, penalty, mda_cfg)
-    result = de_minimize(objective, problem.z_bounds, de_cfg, vectorized=True)
+    result = de_minimize(objective, problem.z_bounds, de_cfg)
     bound = tuple(replace(d, fn=e) for d, e in zip(problem.disciplines, evaluators))
     state = gauss_seidel_solve(bound, result.z, problem.y_midpoint(), mda_cfg)
     return result.z, state, result.value
@@ -217,7 +222,7 @@ def solve_random_mdo(evaluators, problem: MdoProblem, penalty: PenaltySpec, de_c
 def solve_surrogate_mdo(sset: SurrogateSet, problem: MdoProblem, penalty: PenaltySpec, de_cfg: DeConfig, mda_cfg: MdaConfig):
     """Minimize the penalized objective of the posterior-mean system."""
     objective = penalized_mdo_objective(mean_evaluators(sset), problem, penalty, mda_cfg)
-    result = de_minimize(objective, problem.z_bounds, de_cfg, vectorized=True)
+    result = de_minimize(objective, problem.z_bounds, de_cfg)
     return result.z, result.value
 
 
@@ -290,7 +295,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
     solve_index = 0
     for n in range(1, cfg.n_iter + 1):
         for m in range(problem.n_disciplines):
-            evaluators, _ = path_evaluators(sset, cfg.n_features, path_rng)
+            evaluators = path_evaluators(sset, cfg.n_features, path_rng)
             de_cfg = cfg.de_config(seeds.de + solve_index)
             solve_index += 1
             z_hat, state, value = solve_random_mdo(evaluators, problem, penalty, de_cfg, mda_cfg)

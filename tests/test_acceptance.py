@@ -186,11 +186,11 @@ def test_criterion_7_de_optimizer():
             return (np.atleast_2d(z) ** 2).sum(axis=1)
 
         cfg = DeConfig(population=30, max_generations=200, seed=13)
-        result = de_minimize(sphere, [[-5.0, 5.0]] * 3, cfg, vectorized=True)
+        result = de_minimize(sphere, [[-5.0, 5.0]] * 3, cfg)
         assert result.value <= 1e-3
         assert result.generations <= 200
 
-        shifted = de_minimize(lambda z: sphere(z) + 42.0, [[-5.0, 5.0]] * 3, cfg, vectorized=True)
+        shifted = de_minimize(lambda z: sphere(z) + 42.0, [[-5.0, 5.0]] * 3, cfg)
         np.testing.assert_array_equal(result.z, shifted.z)
 
 
@@ -207,14 +207,14 @@ def test_criterion_8_penalty_behavior():
             [problem.disciplines[0].fn], problem, PenaltySpec(),
             MdaConfig(tolerance=1e-10, max_iterations=25, aitken=False),
         )
-        assert forced(np.array([0.4])) >= 1000.0
+        assert forced(np.array([[0.4]]))[0] >= 1000.0
 
         sellar = sellar_problem()
         objective = penalized_mdo_objective(
             [d.fn for d in sellar.disciplines], sellar, PenaltySpec(), MdaConfig(tolerance=1e-2, max_iterations=100)
         )
-        result = de_minimize(objective, sellar.z_bounds, DeConfig(seed=14), vectorized=True)
-        recomputed = objective(result.z)
+        result = de_minimize(objective, sellar.z_bounds, DeConfig(seed=14))
+        (recomputed,) = objective(result.z[None, :])
         assert recomputed == pytest.approx(result.value, abs=1e-12)
         assert result.value < 500.0  # no penalty component at the optimum
         assert result.value == pytest.approx(SELLAR_REFERENCE, abs=1e-2)

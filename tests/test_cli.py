@@ -128,6 +128,20 @@ class TestReportCommand:
         assert "skipped=1" in captured.out
         assert "skipped 1 malformed" in captured.err
 
+    def test_record_config_with_an_unknown_key_is_a_one_line_error(self, tmp_path, capsys, quick_args):
+        # A record written by another version, e.g. one whose header still has a "gp" settings block.
+        out = str(tmp_path / "runs")
+        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        path = os.path.join(out, "run_0.ndjson")
+        record = load_run_record(path)
+        record.config["gp"] = {"nugget": 1e-7}
+        save_run_record(record, path)
+        capsys.readouterr()
+        assert run_cli(["report", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'gp'" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestReferenceCommand:
     def test_prints_stored_reference(self, capsys):

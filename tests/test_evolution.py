@@ -14,7 +14,7 @@ def sphere(z):
     return (z**2).sum(axis=1)
 
 
-def de_minimize_loop(objective, bounds, cfg, vectorized=False):
+def de_minimize_loop(objective, bounds, cfg):
     """Reference: rand/1/bin with the variation written one individual at a time."""
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -22,7 +22,7 @@ def de_minimize_loop(objective, bounds, cfg, vectorized=False):
     n_pop = cfg.population or max(15 * d, 30)
     rng = np.random.default_rng(cfg.seed)
     pop = lhs(bounds, n_pop, rng)
-    vals = _scores(objective, pop, vectorized)
+    vals = _scores(objective, pop)
     evaluations = n_pop
     history = [float(vals.min())]
     generations = 0
@@ -37,7 +37,7 @@ def de_minimize_loop(objective, bounds, cfg, vectorized=False):
             cross = rng.random(d) < cfg.crossover
             cross[rng.integers(d)] = True
             trials[i] = np.where(cross, mutant, pop[i])
-        trial_vals = _scores(objective, trials, vectorized)
+        trial_vals = _scores(objective, trials)
         evaluations += n_pop
         better = trial_vals <= vals
         pop[better] = trials[better]
@@ -66,8 +66,8 @@ class TestDeMinimize:
             z = np.atleast_2d(z)
             return ((z - 0.3) ** 2).sum(axis=1) + np.cos(3.0 * z).sum(axis=1)
 
-        got = de_minimize(shifted, bounds, cfg, vectorized=True)
-        want = de_minimize_loop(shifted, bounds, cfg, vectorized=True)
+        got = de_minimize(shifted, bounds, cfg)
+        want = de_minimize_loop(shifted, bounds, cfg)
         assert np.array_equal(got.z, want.z)
         assert np.array_equal(got.history, want.history)
         assert got.value == want.value
@@ -82,13 +82,13 @@ class TestDeMinimize:
 
     def test_sphere_reaches_global_minimum(self):
         cfg = DeConfig(population=30, max_generations=200, seed=1)
-        result = de_minimize(sphere, [[-5.0, 5.0]] * 3, cfg, vectorized=True)
+        result = de_minimize(sphere, [[-5.0, 5.0]] * 3, cfg)
         assert result.value <= 1e-3
         assert np.all(np.abs(result.z) <= 0.1)
 
     def test_constant_objective_terminates_by_window(self):
         cfg = DeConfig(population=12, max_generations=300, window=25, seed=2)
-        result = de_minimize(lambda z: 7.0, [[-1.0, 3.0]] * 2, cfg)
+        result = de_minimize(lambda Z: np.full(len(Z), 7.0), [[-1.0, 3.0]] * 2, cfg)
         assert result.generations == 25
         assert result.value == 7.0
         assert np.all((result.z >= -1.0) & (result.z <= 3.0))
@@ -101,8 +101,8 @@ class TestDeMinimize:
             return (1.0 - z[:, 0]) ** 2 + 100.0 * (z[:, 1] - z[:, 0] ** 2) ** 2
 
         cfg = DeConfig(population=20, max_generations=80, seed=3)
-        r0 = de_minimize(rosen, bounds, cfg, vectorized=True)
-        r1 = de_minimize(lambda z: rosen(z) + 123.456, bounds, cfg, vectorized=True)
+        r0 = de_minimize(rosen, bounds, cfg)
+        r1 = de_minimize(lambda z: rosen(z) + 123.456, bounds, cfg)
         np.testing.assert_array_equal(r0.z, r1.z)
         assert r1.value == pytest.approx(r0.value + 123.456, rel=1e-12)
 
@@ -110,9 +110,9 @@ class TestDeMinimize:
         bounds = np.array([[-1.0, 2.0], [0.0, 0.5]])
         seen = []
 
-        def recorder(z):
-            seen.append(np.array(z, copy=True))
-            return float((z**2).sum())
+        def recorder(Z):
+            seen.append(np.array(Z, copy=True))
+            return (Z**2).sum(axis=1)
 
         de_minimize(recorder, bounds, DeConfig(population=8, max_generations=30, seed=4))
         seen = np.vstack(seen)
@@ -126,19 +126,19 @@ class TestDeMinimize:
             return vals
 
         cfg = DeConfig(population=16, max_generations=60, seed=5)
-        result = de_minimize(holey, [[-2.0, 2.0]] * 2, cfg, vectorized=True)
+        result = de_minimize(holey, [[-2.0, 2.0]] * 2, cfg)
         assert np.isfinite(result.value)
         assert result.z[0] <= 0.0
 
     def test_monotone_best_history(self):
         cfg = DeConfig(population=15, max_generations=50, seed=6)
-        result = de_minimize(sphere, [[-3.0, 3.0]] * 2, cfg, vectorized=True)
+        result = de_minimize(sphere, [[-3.0, 3.0]] * 2, cfg)
         assert np.all(np.diff(result.history) <= 0.0)
 
     def test_deterministic_given_seed(self):
         cfg = DeConfig(population=10, max_generations=40, seed=7)
-        a = de_minimize(sphere, [[-3.0, 3.0]] * 2, cfg, vectorized=True)
-        b = de_minimize(sphere, [[-3.0, 3.0]] * 2, cfg, vectorized=True)
+        a = de_minimize(sphere, [[-3.0, 3.0]] * 2, cfg)
+        b = de_minimize(sphere, [[-3.0, 3.0]] * 2, cfg)
         np.testing.assert_array_equal(a.z, b.z)
         np.testing.assert_array_equal(a.history, b.history)
 
@@ -150,7 +150,7 @@ class TestDeMinimize:
             calls.append(z.shape[0])
             return (z**2).sum(axis=1)
 
-        de_minimize(counting, [[-1.0, 1.0]] * 3, DeConfig(max_generations=1, seed=8), vectorized=True)
+        de_minimize(counting, [[-1.0, 1.0]] * 3, DeConfig(max_generations=1, seed=8))
         assert calls[0] == 45  # max(15 * 3, 30)
 
     def test_config_validation(self):
@@ -168,7 +168,7 @@ class TestPenalizedObjective:
         objective = penalized_mdo_objective(
             [d.fn for d in problem.disciplines], problem, PenaltySpec(), TIGHT_MDA
         )
-        value = objective(np.array([0.0, 2.6345, 0.0]))
+        (value,) = objective(np.array([[0.0, 2.6345, 0.0]]))
         assert value == pytest.approx(-2.8085, abs=1e-3)
 
     def test_forced_nonconvergence_hits_base_floor(self):
@@ -184,7 +184,7 @@ class TestPenalizedObjective:
         objective = penalized_mdo_objective(
             [problem.disciplines[0].fn], problem, PenaltySpec(), MdaConfig(tolerance=1e-10, max_iterations=20, aitken=False)
         )
-        assert objective(np.array([0.5])) >= 1000.0
+        assert objective(np.array([[0.5]]))[0] >= 1000.0
 
     def test_nonconvergence_adds_base_to_last_iterate_objective(self):
         # negative objective at the last iterate lands just below the base,
@@ -199,7 +199,7 @@ class TestPenalizedObjective:
         objective = penalized_mdo_objective(
             [problem.disciplines[0].fn], problem, PenaltySpec(), MdaConfig(tolerance=1e-10, max_iterations=15, aitken=False)
         )
-        assert objective(np.array([0.0])) == pytest.approx(1000.0 - 0.5285, abs=1e-9)
+        assert objective(np.array([[0.0]]))[0] == pytest.approx(1000.0 - 0.5285, abs=1e-9)
 
     def test_bound_violation_penalty(self):
         # fixed point y = 5 sits above the shrunken coupling box [0, 2]
@@ -212,7 +212,7 @@ class TestPenalizedObjective:
         )
         spec = PenaltySpec(base=1000.0, bound_weight=100.0)
         objective = penalized_mdo_objective([problem.disciplines[0].fn], problem, spec, TIGHT_MDA)
-        value = objective(np.array([0.25]))
+        (value,) = objective(np.array([[0.25]]))
         # f + base + weight * (5 - 2) / (2 - 0)
         assert value == pytest.approx(0.25 + 1000.0 + 100.0 * 1.5, abs=1e-6)
 
@@ -234,16 +234,18 @@ class TestPenalizedObjective:
             [d.fn for d in problem.disciplines], problem, PenaltySpec(), SURROGATE_MDA
         )
         cfg = DeConfig(population=20, max_generations=60, seed=10)
-        result = de_minimize(objective, problem.z_bounds, cfg, vectorized=True)
-        assert result.value == pytest.approx(objective(result.z), abs=1e-12)
+        result = de_minimize(objective, problem.z_bounds, cfg)
+        assert result.value == pytest.approx(objective(result.z[None, :])[0], abs=1e-12)
         assert result.value < 500.0  # converged in-bounds: plain objective scale
 
     def test_batch_and_scalar_agree(self):
+        # Each candidate scored alone, as a batch of one, matches its row of the batch.
         problem = toy_problem()
         objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, PenaltySpec(), TIGHT_MDA)
         Z = np.array([[-3.0], [0.0], [4.0]])
         batch = objective(Z)
-        singles = np.array([objective(z) for z in Z])
+        assert batch.shape == (3,)
+        singles = np.concatenate([objective(z[None, :]) for z in Z])
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
     def test_evaluator_count_checked(self):

@@ -8,8 +8,8 @@ import pytest
 
 from mdots import external
 from mdots.external import ExternalDiscipline, load_external_problem
-from mdots.mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
-from mdots.problems import Discipline
+from mdots.mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve, solve_batch
+from mdots.problems import Discipline, initial_doe_training_sets
 from mdots.study import ExperimentConfig, run_replicate, run_study
 
 WORKER = os.path.join(os.path.dirname(__file__), "child_worker.py")
@@ -139,7 +139,7 @@ class TestPipelinedBatch:
     def test_large_batch_fills_both_pipes_without_deadlock(self):
         # ~3 MB each way: far beyond a pipe buffer, so requests and replies must interleave.
         Z = np.random.default_rng(5).standard_normal((3000, 50))
-        with ExternalDiscipline(child("double"), timeout=5.0) as ev:
+        with ExternalDiscipline(child("double"), n_outputs=50, timeout=5.0) as ev:
             out = ev(Z, np.zeros((3000, 0)))
             assert ev.last_error is None
         np.testing.assert_array_equal(out, 2.0 * Z)
@@ -153,6 +153,16 @@ class TestPipelinedBatch:
             rows = np.vstack([ev(Z[i : i + 1], Y_in[i : i + 1]) for i in range(len(Z))])
         assert batch.tobytes() == rows.tobytes()
 
+    def test_reply_of_the_wrong_width_fails_its_row(self):
+        # One output declared; "double" answers one value per design variable.
+        with ExternalDiscipline(child("double")) as ev:
+            out = ev(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((2, 0)))
+            assert out.shape == (2, 1) and np.isnan(out).all()
+            assert ev.last_error is not None and ev.last_error.kind == "protocol"
+            assert "expected 1" in str(ev.last_error)
+            # Not fatal: the child still answers a well-formed row.
+            np.testing.assert_array_equal(ev(np.array([[5.0]]), np.zeros((1, 0))), [[10.0]])
+
     def test_mismatched_row_counts_rejected(self):
         with ExternalDiscipline(child("double")) as ev:
             with pytest.raises(ValueError):
@@ -165,6 +175,21 @@ class TestInsideMda:
             disc = Discipline("remote", produces=[0], consumes=[], fn=ev)
             state = gauss_seidel_solve([disc], [0.0], np.array([0.0]), MdaConfig(tolerance=1e-8, max_iterations=10))
         assert state.status == MdaStatus.EVALUATOR_FAILURE
+
+    def test_multi_output_discipline_with_every_row_failed(self):
+        # The width comes from the spec's "produces", not from a good reply, so a batch with none still has shape.
+        spec = {
+            "z_bounds": [[0.0, 1.0]],
+            "y_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+            "disciplines": [{"cmd": child("error"), "produces": [0, 1], "consumes": []}],
+            "objective_cmd": child("sum"),
+        }
+        with load_external_problem(spec) as problem:
+            res = solve_batch(problem.disciplines, np.array([[0.1], [0.2], [0.3]]), problem.y_midpoint(), MdaConfig())
+            np.testing.assert_array_equal(res.status, [int(MdaStatus.EVALUATOR_FAILURE)] * 3)
+            assert "returned non-finite output" in res.failure
+            with pytest.raises(RuntimeError, match="fewer than two usable DoE points"), pytest.warns(UserWarning):
+                initial_doe_training_sets(problem, 3, np.random.default_rng(0))
 
     def test_contractive_remote_discipline_converges(self):
         # child computes z + y/2 through the sum mode with scaled inputs

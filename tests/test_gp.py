@@ -7,14 +7,12 @@ from scipy import linalg
 from mdots.gp import (
     GpFitError,
     KernelParams,
-    NormStats,
     _solve_chol,
     fit,
-    kernel_eval,
+    kernel_matrix,
     log_marginal_likelihood,
     posterior_mean,
     posterior_variance,
-    prior_surrogate,
 )
 
 
@@ -39,31 +37,33 @@ def dense_posterior(surrogate, x_star):
     return mean, var * norm.output_std**2
 
 
+def k11(params, x, xp):
+    """k(x, x') for two single points, as the 1x1 kernel matrix."""
+    K = kernel_matrix(params, np.array([x], dtype=float), np.array([xp], dtype=float))
+    assert K.shape == (1, 1)
+    return K[0, 0]
+
+
 class TestKernel:
     def test_diagonal_is_signal_variance(self):
         params = KernelParams(length_scales=[1.0], signal_variance=1.0, nugget=1e-7)
-        assert kernel_eval(params, [0.3], [0.3]) == 1.0
+        assert k11(params, [0.3], [0.3]) == 1.0
 
     def test_unit_exponent(self):
         params = KernelParams(length_scales=[1.0, 1.0], signal_variance=1.0, nugget=1e-7)
-        value = kernel_eval(params, [0.0, 0.0], [np.sqrt(2.0), 0.0])
+        value = k11(params, [0.0, 0.0], [np.sqrt(2.0), 0.0])
         assert value == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_ard_closed_form(self):
         # hand-calculator oracle: 2.5 * exp(-0.5 * ((2/2)^2 + (1/1)^2))
         params = KernelParams(length_scales=[2.0, 1.0], signal_variance=2.5, nugget=1e-7)
-        value = kernel_eval(params, [0.0, 0.0], [2.0, 1.0])
+        value = k11(params, [0.0, 0.0], [2.0, 1.0])
         assert value == pytest.approx(0.9196986029286058, rel=1e-12)
 
     def test_symmetry(self):
         params = KernelParams(length_scales=[0.7, 1.3], signal_variance=1.8, nugget=1e-7)
         a, b = np.array([0.2, -0.4]), np.array([1.0, 2.0])
-        assert kernel_eval(params, a, b) == kernel_eval(params, b, a)
-
-    def test_dimension_mismatch(self):
-        params = KernelParams(length_scales=[1.0], signal_variance=1.0, nugget=1e-7)
-        with pytest.raises(ValueError):
-            kernel_eval(params, [0.0, 1.0], [0.0, 1.0])
+        assert k11(params, a, b) == k11(params, b, a)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -156,7 +156,9 @@ class TestFit:
     def test_duplicates_merged_latest_target_kept(self):
         s = fit([[0.0], [1.0], [1.0]], [0.0, 1.0, 2.0], rng=0)
         assert s.n == 2
-        assert s.y[list(s.X[:, 0]).index(1.0)] == 2.0
+        # Inputs span [0, 1] already, so normalized x = 1.0 is raw x = 1.0; map its target back to raw units.
+        kept = s.y_std[list(s.X_norm[:, 0]).index(1.0)]
+        assert s.norm.output_mean + s.norm.output_std * kept == pytest.approx(2.0, rel=1e-15)
 
     def test_affine_output_invariance(self):
         rng = np.random.default_rng(5)
@@ -308,11 +310,13 @@ class TestPosterior:
         rel = np.linalg.norm(s.chol @ s.chol.T - K) / np.linalg.norm(K)
         assert rel <= 1e-8
 
-    def test_prior_surrogate_is_flat(self):
-        params = KernelParams(length_scales=[1.0], signal_variance=2.0, nugget=1e-7)
-        s = prior_surrogate(params, 1)
-        assert posterior_mean(s, [0.4]) == 0.0
-        assert posterior_variance(s, [0.4]) == 2.0
+    def test_dimension_mismatch(self):
+        s = fit([[0.0], [1.0]], [0.0, 1.0], rng=0)
+        for query in (posterior_mean, posterior_variance):
+            with pytest.raises(ValueError, match="dimension 1, got 2"):
+                query(s, [0.0, 1.0])
+            with pytest.raises(ValueError, match="dimension 1, got 2"):
+                query(s, [[0.0, 1.0], [1.0, 0.0]])
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -331,7 +335,9 @@ class TestPosterior:
 
 
 class TestNormStats:
-    def test_identity(self):
-        norm = NormStats.identity(2)
-        pts = np.array([[0.5, -1.0]])
-        np.testing.assert_array_equal(norm.normalize_inputs(pts), pts)
+    def test_training_inputs_map_to_the_unit_box(self):
+        X = np.array([[2.0, -1.0], [4.0, 3.0], [3.0, 1.0]])
+        s = fit(X, [0.0, 1.0, 0.5], rng=0)
+        np.testing.assert_array_equal(s.X_norm, s.norm.normalize_inputs(X))
+        np.testing.assert_array_equal(s.X_norm.min(axis=0), [0.0, 0.0])
+        np.testing.assert_array_equal(s.X_norm.max(axis=0), [1.0, 1.0])

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from mdots.mda import (
+    OMEGA_BOUNDS,
+    OMEGA_INIT,
     CouplingState,
     DisciplineFailure,
     MdaConfig,
@@ -14,7 +18,6 @@ from mdots.mda import (
 from mdots.problems import Discipline, sellar_problem, toy_problem
 
 TIGHT = MdaConfig(tolerance=1e-10, max_iterations=200)
-BOUNDS = (MdaConfig.omega_min, MdaConfig.omega_max)
 
 
 def toy_fixed_point(z):
@@ -148,18 +151,18 @@ class TestLinearContraction:
 
 class TestAitken:
     def test_zero_update_keeps_factor_in_bounds(self):
-        omega = aitken_update(np.array([0.7]), np.array([[0.0]]), np.array([[0.0]]), BOUNDS)
+        omega = aitken_update(np.array([0.7]), np.array([[0.0]]), np.array([[0.0]]), OMEGA_BOUNDS)
         assert np.isfinite(omega).all()
         assert 0.05 <= omega[0] <= 2.0
 
     def test_recurrence_example(self):
         # -1 * (1 * (0.5 - 1)) / 0.25 = 2, already at the upper clamp
-        assert aitken_update(np.array([1.0]), np.array([[1.0]]), np.array([[0.5]]), BOUNDS).tolist() == [2.0]
+        assert aitken_update(np.array([1.0]), np.array([[1.0]]), np.array([[0.5]]), OMEGA_BOUNDS).tolist() == [2.0]
 
     def test_clamping(self):
         # huge and tiny unclamped values
-        assert aitken_update(np.array([1.0]), np.array([[1.0]]), np.array([[0.999]]), BOUNDS).tolist() == [2.0]
-        assert aitken_update(np.array([1e-4]), np.array([[1.0]]), np.array([[-1.0]]), BOUNDS).tolist() == [0.05]
+        assert aitken_update(np.array([1.0]), np.array([[1.0]]), np.array([[0.999]]), OMEGA_BOUNDS).tolist() == [2.0]
+        assert aitken_update(np.array([1e-4]), np.array([[1.0]]), np.array([[-1.0]]), OMEGA_BOUNDS).tolist() == [0.05]
 
     def test_accelerates_slow_scalar_iteration(self):
         # y <- 0.9 y + 1, fixed point 10; unrelaxed contraction is 0.9/sweep
@@ -191,6 +194,24 @@ class TestBatchSolve:
         assert res.status[0] == int(MdaStatus.CONVERGED)
         assert res.status[1] == int(MdaStatus.EVALUATOR_FAILURE)
 
+    def test_raised_failure_fails_every_row_of_the_call(self):
+        # A raise is not per row: all three rows fail at the sweep where it happens, under one note.
+        calls = []
+
+        def raises_on_second_sweep(Z, Y):
+            calls.append(Z.shape[0])
+            if len(calls) == 2:
+                raise DisciplineFailure("solver crashed", kind="crash")
+            return 0.5 * Y[:, 0] + Z[:, 0]
+
+        disc = Discipline("flaky", produces=[0], consumes=[0], fn=raises_on_second_sweep)
+        res = solve_batch([disc], np.array([[1.0], [2.0], [3.0]]), np.zeros((3, 1)), TIGHT)
+        assert calls == [3, 3]
+        np.testing.assert_array_equal(res.status, [int(MdaStatus.EVALUATOR_FAILURE)] * 3)
+        np.testing.assert_array_equal(res.iterations, [2, 2, 2])
+        assert res.failure == "discipline 'flaky': solver crashed"
+        assert np.isfinite(res.y).all()  # each row keeps its first-sweep iterate
+
 
 class TestConfig:
     def test_validation(self):
@@ -198,12 +219,11 @@ class TestConfig:
             MdaConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             MdaConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            MdaConfig(omega_min=0.0)
-        with pytest.raises(ValueError):
-            MdaConfig(omega_min=1.0, omega_max=0.5)
-        with pytest.raises(ValueError):
-            MdaConfig(omega_max=3.0)
+
+    def test_settings(self):
+        # The relaxation start and clamp are module constants, not settings.
+        assert [f.name for f in dataclasses.fields(MdaConfig)] == ["tolerance", "max_iterations", "aitken"]
+        assert (OMEGA_INIT, OMEGA_BOUNDS) == (0.5, (0.05, 2.0))
 
 
 def reference_aitken_update(omega, delta_prev, delta_curr, bounds):
@@ -228,7 +248,7 @@ def reference_solve_batch(disciplines, Z, y0, cfg):
     status = np.full(n, int(MdaStatus.MAX_ITERATIONS))
     iterations = np.full(n, cfg.max_iterations)
     residual = np.full(n, np.inf)
-    omega = np.full(n, cfg.omega_init if cfg.aitken else 1.0)
+    omega = np.full(n, OMEGA_INIT if cfg.aitken else 1.0)
     delta_prev = np.zeros_like(y)
     has_prev = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
@@ -270,7 +290,7 @@ def reference_solve_batch(disciplines, Z, y0, cfg):
             if prev_ok.any():
                 pidx = idx[prev_ok]
                 omega[pidx] = reference_aitken_update(
-                    omega[pidx], delta_prev[pidx], delta[prev_ok], (cfg.omega_min, cfg.omega_max)
+                    omega[pidx], delta_prev[pidx], delta[prev_ok], OMEGA_BOUNDS
                 )
         applied = omega[idx, None] * delta
         y_next = y_act + applied
@@ -366,8 +386,8 @@ class TestCompactedLoopMatchesReference:
             prev = rng.normal(size=(n, d)) * rng.choice([1e-300, 1.0, 1e300], size=(n, d))
             curr = np.where(rng.random((n, d)) < 0.7, rng.normal(size=(n, d)), prev)  # some rows unchanged
             with np.errstate(all="ignore"):
-                got = aitken_update(omega, prev, curr, BOUNDS)
-                want = reference_aitken_update(omega, prev, curr, BOUNDS)
+                got = aitken_update(omega, prev, curr, OMEGA_BOUNDS)
+                want = reference_aitken_update(omega, prev, curr, OMEGA_BOUNDS)
             np.testing.assert_array_equal(got, want)
 
     def test_cases_reach_every_status(self):

@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from mdots.gp import KernelParams, fit, kernel_matrix, posterior_mean, posterior_variance, prior_surrogate
-from mdots.paths import draw_path, eval_path, sample_feature_map
+from mdots.gp import KernelParams, fit, kernel_matrix, posterior_mean, posterior_variance
+from mdots.paths import _prior_values, draw_path, eval_path, sample_feature_map
 
 
 def make_surrogate(n=8, seed=0):
@@ -82,14 +82,12 @@ class TestEvalPath:
         np.testing.assert_array_equal(eval_path(a, xq), eval_path(b, xq))
 
     def test_prior_only_path_is_pure_feature_expansion(self):
+        # The prior part of a path: the cosine expansion of one feature-map draw, nothing else.
         params = KernelParams(length_scales=[1.0], signal_variance=2.0, nugget=1e-7)
-        s = prior_surrogate(params, 1)
-        path = draw_path(s, 128, np.random.default_rng(6))
-        assert path.update_coeffs.size == 0
-        fm = path.features
+        fm = sample_feature_map(params, 1, 128, np.random.default_rng(6))
         x = 0.7
         expected = fm.amplitude * np.sum(fm.weights * np.cos(fm.thetas[:, 0] * x + fm.taus))
-        assert eval_path(path, [x]) == pytest.approx(expected, rel=1e-12)
+        assert _prior_values(fm, np.array([[x]]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_batch_matches_pointwise(self):
         s, _, _ = make_surrogate()

@@ -150,6 +150,12 @@ class TestRelaunch:
             "recompute_reference",
         ]
 
+    def test_unknown_config_key_is_named(self):
+        record = dataclasses.replace(small_record(seed=5))
+        record.config = {**record.config, "gp": {"nugget": 1e-7}, "zz_new": 1}
+        with pytest.raises(ValueError, match="unknown setting.*'gp', 'zz_new'"):
+            run_from_record(record)
+
     def test_library_run_relaunches_and_reports(self, tmp_path):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=1, de_max_generations=60)
         with warnings.catch_warnings():

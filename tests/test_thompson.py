@@ -168,8 +168,8 @@ class TestSolveRandomMdo:
 
         sset = fit_surrogate_set(initial_doe_training_sets(problem, 4, rng), ExperimentConfig(), rng)
         path_rng = np.random.default_rng(62)
-        ev1, _ = path_evaluators(sset, 400, path_rng)
-        ev2, _ = path_evaluators(sset, 400, path_rng)
+        ev1 = path_evaluators(sset, 400, path_rng)
+        ev2 = path_evaluators(sset, 400, path_rng)
         mda = MdaConfig(tolerance=1e-2, max_iterations=100)
         z1, _, _ = solve_random_mdo(ev1, problem, PenaltySpec(), DeConfig(seed=64), mda)
         z2, _, _ = solve_random_mdo(ev2, problem, PenaltySpec(), DeConfig(seed=64), mda)
@@ -188,7 +188,7 @@ class TestSolveRandomMdo:
         path_rng = np.random.default_rng(72)
         values = []
         for _ in range(3):
-            ev, _ = path_evaluators(sset, 1000, path_rng)
+            ev = path_evaluators(sset, 1000, path_rng)
             _, _, value = solve_random_mdo(ev, problem, PenaltySpec(), DeConfig(seed=73), mda)
             values.append(value)
         assert max(values) - min(values) <= 1e-3
@@ -206,7 +206,7 @@ class TestSolveSurrogateMdo:
         z_sur, value_sur = solve_surrogate_mdo(sset, problem, PenaltySpec(), DeConfig(seed=82), mda)
 
         true_objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, PenaltySpec(), mda)
-        direct = de_minimize(true_objective, problem.z_bounds, DeConfig(seed=82), vectorized=True)
+        direct = de_minimize(true_objective, problem.z_bounds, DeConfig(seed=82))
         assert value_sur == pytest.approx(direct.value, abs=1e-3)
         np.testing.assert_allclose(z_sur, direct.z, atol=1e-2)
 
