@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mda import MdaConfig, gauss_seidel_solve
+from .mda import DisciplineFailure, MdaConfig, gauss_seidel_solve
 
 __all__ = [
     "Discipline",
@@ -208,7 +208,8 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
     discipline's coupling-input bounds; no coupled solve is needed.
 
     Rows where the discipline returns non-finite values are dropped with a
-    warning; fewer than two survivors is an error.
+    warning, and a raised ``DisciplineFailure`` drops every row of that
+    discipline's batch the same way; fewer than two survivors is an error.
     """
     if n_doe < 2:
         raise ValueError("need at least two DoE points")
@@ -219,8 +220,11 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
         pts = lhs(box, n_doe, rng)
         Z = pts[:, : problem.d_z]
         Yin = pts[:, problem.d_z :]
-        with np.errstate(all="ignore"):
-            out = np.asarray(disc.fn(Z, Yin), dtype=float).reshape(n_doe, disc.produces.size)
+        try:
+            with np.errstate(all="ignore"):
+                out = np.asarray(disc.fn(Z, Yin), dtype=float).reshape(n_doe, disc.produces.size)
+        except DisciplineFailure:
+            out = np.full((n_doe, disc.produces.size), np.nan)
         ok = np.isfinite(out).all(axis=1)
         if not ok.all():
             warnings.warn(

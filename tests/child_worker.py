@@ -1,6 +1,6 @@
 """Test double for the line-protocol discipline adapter.
 
-Usage: python child_worker.py MODE [K]
+Usage: python child_worker.py MODE [K | PATH]
 Modes:
     double    y_out = 2 * z
     sum       y_out = [z[0] + y_in[0]]
@@ -13,6 +13,9 @@ Modes:
     wrong-id  respond with a mismatched id
     echo-keys report the sorted request keys in the message
     trickle   answer as double, one byte every 50 ms
+    tee       append each request line, byte for byte, to PATH; answer [0.0]
+    replay    answer request k with line k of PATH, byte for byte, with $ID
+              replaced by the request id
 """
 
 import json
@@ -22,9 +25,19 @@ import time
 
 def main():
     mode = sys.argv[1]
-    answers_left = int(sys.argv[2]) if len(sys.argv) > 2 else 0
-    for line in sys.stdin:
+    answers_left = int(sys.argv[2]) if len(sys.argv) > 2 and mode == "crash" else 0
+    if mode == "replay":
+        with open(sys.argv[2], "rb") as fh:
+            replies = fh.read().split(b"\n")
+    for k, line in enumerate(sys.stdin.buffer):
         request = json.loads(line)
+        if mode == "tee":
+            with open(sys.argv[2], "ab") as fh:
+                fh.write(line)
+        if mode == "replay":
+            sys.stdout.buffer.write(replies[k].replace(b"$ID", str(request["id"]).encode()) + b"\n")
+            sys.stdout.buffer.flush()
+            continue
         if mode == "crash":
             if answers_left == 0:
                 sys.exit(3)
@@ -46,6 +59,8 @@ def main():
             response = {"id": request["id"], "status": "error", "y_out": [], "message": "remote solver blew up"}
         elif mode == "wrong-id":
             response["id"] = request["id"] + 17
+            response["y_out"] = [0.0]
+        elif mode == "tee":
             response["y_out"] = [0.0]
         elif mode == "echo-keys":
             response["y_out"] = [0.0]

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdots import external
 from mdots.external import ExternalDiscipline, load_external_problem
@@ -97,6 +99,206 @@ class TestProtocol:
         assert external._encode_requests(41, Z, Y_in) == expected.encode("utf-8")
         no_inputs = "".join(json.dumps({"id": 1 + i, "z": [float(v)], "y_in": []}) + "\n" for i, v in enumerate([1.0, 2.0]))
         assert external._encode_requests(1, np.array([[1.0], [2.0]]), np.zeros((2, 0))) == no_inputs.encode("utf-8")
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e300, 1 / 3,
+                  np.nan, np.inf, -np.inf]
+
+
+def request_lines(first_id, Z, Y_in):
+    """The wire bytes the protocol promises: ``json.dumps`` of each request dict, one per line."""
+    return "".join(
+        json.dumps({"id": first_id + i, "z": list(map(float, z)), "y_in": list(map(float, y))}) + "\n"
+        for i, (z, y) in enumerate(zip(Z, Y_in))
+    ).encode("utf-8")
+
+
+class TestWireBytes:
+    """Design-row texts are kept from one call to the next; what goes on the wire must not change."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d_z=st.integers(0, 3),
+        k=st.integers(0, 2),
+        pool=st.lists(st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS), min_size=3, max_size=24),
+        calls=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=10), min_size=1, max_size=6),
+        y_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_call_of_a_sequence_is_json_dumps(self, d_z, k, pool, calls, y_seed):
+        rows = np.resize(np.array(pool, dtype=float), (8, d_z))  # rows repeat
+        if d_z:
+            rows[1] = rows[0]
+            rows[0, 0], rows[1, 0] = 0.0, -0.0  # rows that compare equal but differ in their bits
+        y_values = np.random.default_rng(y_seed).choice(np.array(SPECIAL_FLOATS + [2.0 / 3, -7.5]), size=(40, 2))
+        z_texts, first_id = {}, 1
+        for call in calls:
+            Z, Y_in = rows[call], y_values[: len(call), :k]
+            assert external._encode_requests(first_id, Z, Y_in, z_texts) == request_lines(first_id, Z, Y_in)
+            assert len(z_texts) <= len(call)  # only this call's rows are kept
+            first_id += len(call)
+
+    def test_rows_that_stay_leave_and_move_on_a_live_child(self, tmp_path):
+        # Like the sweeps of a coupled solve: the same rows again, some gone, the rest reordered, new ones added.
+        log = tmp_path / "requests.ndjson"
+        Z = np.array([[0.0, 1.5], [-0.0, 1.5], [np.nan, 5e-324], [np.inf, -np.inf], [0.1, -2.2250738585072014e-308]])
+        Y_in = np.array([[1 / 3], [-0.0], [2.5e-310], [-1e300], [0.0]])
+        calls = [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [4, 2, 0], [2, 0], [1, 3, 3, 0]]
+        expected = b""
+        with ExternalDiscipline(child("tee", str(log))) as ev:
+            for step, call in enumerate(calls):
+                Y_step = Y_in[call] * (step + 1)
+                out = ev(Z[call], Y_step)
+                assert ev.last_error is None and (out == 0.0).all()
+                expected += request_lines(1 + len(expected.splitlines()), Z[call], Y_step)
+            no_inputs = ev(Z[:2], np.zeros((2, 0)))
+            assert ev.last_error is None and (no_inputs == 0.0).all()
+            expected += request_lines(1 + len(expected.splitlines()), Z[:2], np.zeros((2, 0)))
+        assert log.read_bytes() == expected
+
+
+def reference_parse_reply(line: bytes, request_id: int, width: int):
+    """The per-line parser the adapter had before replies were judged a chunk at a time: the oracle."""
+    try:
+        response = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DisciplineFailure(f"malformed response line: {exc}", kind="protocol") from exc
+    if not isinstance(response, dict) or response.get("id") != request_id:
+        raise DisciplineFailure("response id does not match request id", kind="protocol")
+    if response.get("status") != "ok":
+        return DisciplineFailure(str(response.get("message", "remote error")), kind="remote")
+    try:
+        y_out = np.asarray(response["y_out"], dtype=float).ravel()
+    except (KeyError, TypeError, ValueError) as exc:
+        return DisciplineFailure(f"unusable y_out in response: {exc}", kind="protocol")
+    if y_out.size != width:
+        return DisciplineFailure(f"y_out has {y_out.size} values, expected {width}", kind="protocol")
+    return y_out
+
+
+def reference_batch(lines, first_id, width):
+    """Rows, last failure and whether the child is killed, judging the lines one at a time as before."""
+    rows, last_error = np.full((len(lines), width), np.nan), None
+    for i, line in enumerate(lines):
+        try:
+            reply = reference_parse_reply(line, first_id + i, width)
+        except DisciplineFailure as exc:
+            return rows, exc, True
+        if isinstance(reply, DisciplineFailure):
+            last_error = reply
+        else:
+            rows[i] = reply
+    return rows, last_error, False
+
+
+def chunk_batch(lines, first_id, width):
+    rows = np.full((len(lines), width), np.nan)
+    error, fatal = external._parse_replies(lines, first_id, rows)
+    return rows, (error if fatal is None else fatal), fatal is not None
+
+
+def failure_of(exc):
+    return None if exc is None else (type(exc), exc.kind, str(exc))
+
+
+def outcome(batch, lines, first_id, width):
+    try:
+        rows, last_error, killed = batch(lines, first_id, width)
+    except Exception as exc:  # what escaped the old parser must escape the new one alike
+        return ("raises", type(exc))
+    return ("returns", rows.tobytes(), failure_of(last_error), killed)
+
+
+GOOD = b'{"id": $ID, "status": "ok", "y_out": [1.5], "message": ""}'
+REPLY_CORPUS = {
+    "good": GOOD,
+    "leading-spaces": b"  \t" + GOOD,
+    "trailing-spaces": GOOD + b"   ",
+    "trailing-cr": GOOD + b"\r",
+    "extra-object": GOOD + b' {"id": $ID}',
+    "extra-text": GOOD + b"x",
+    "int-y": b'{"id": $ID, "status": "ok", "y_out": [3], "message": ""}',
+    "nested-y": b'{"id": $ID, "status": "ok", "y_out": [[2.5]], "message": ""}',
+    "ragged-y": b'{"id": $ID, "status": "ok", "y_out": [[1.0], [1.0, 2.0]], "message": ""}',
+    "string-y": b'{"id": $ID, "status": "ok", "y_out": "abc", "message": ""}',
+    "numeric-string-y": b'{"id": $ID, "status": "ok", "y_out": ["1.5"], "message": ""}',
+    "scalar-y": b'{"id": $ID, "status": "ok", "y_out": 4.5, "message": ""}',
+    "null-y": b'{"id": $ID, "status": "ok", "y_out": null, "message": ""}',
+    "object-y": b'{"id": $ID, "status": "ok", "y_out": {}, "message": ""}',
+    "bool-y": b'{"id": $ID, "status": "ok", "y_out": [true], "message": ""}',
+    "huge-exponent-y": b'{"id": $ID, "status": "ok", "y_out": [1e400], "message": ""}',
+    "huge-int-y": b'{"id": $ID, "status": "ok", "y_out": [1' + b"0" * 400 + b'], "message": ""}',
+    "no-y": b'{"id": $ID, "status": "ok", "message": ""}',
+    "no-status": b'{"id": $ID, "y_out": [1.5]}',
+    "error": b'{"id": $ID, "status": "error", "y_out": [], "message": "solver diverged"}',
+    "error-no-message": b'{"id": $ID, "status": "error"}',
+    "error-number-message": b'{"id": $ID, "status": "failed", "message": 42}',
+    "wrong-id": b'{"id": 99999, "status": "ok", "y_out": [1.5], "message": ""}',
+    "float-id": b'{"id": $ID.0, "status": "ok", "y_out": [1.5], "message": ""}',
+    "string-id": b'{"id": "$ID", "status": "ok", "y_out": [1.5], "message": ""}',
+    "wide": b'{"id": $ID, "status": "ok", "y_out": [1.0, 2.0], "message": ""}',
+    "empty-y": b'{"id": $ID, "status": "ok", "y_out": [], "message": ""}',
+    "nan": b'{"id": $ID, "status": "ok", "y_out": [NaN], "message": ""}',
+    "infinity": b'{"id": $ID, "status": "ok", "y_out": [Infinity], "message": ""}',
+    "minus-infinity": b'{"id": $ID, "status": "ok", "y_out": [-Infinity], "message": ""}',
+    "non-utf8": b'{"id": $ID, "status": "ok", "y_out": [1.5], "message": "\xff"}',
+    "encoded-surrogate": b'{"id": $ID, "status": "ok", "y_out": [1.5], "message": "\xed\xa0\x80"}',
+    "utf8-message": '{"id": $ID, "status": "error", "message": "pression \u00e9lev\u00e9e"}'.encode("utf-8"),
+    "bom": b"\xef\xbb\xbf" + GOOD,
+    "empty-line": b"",
+    "blank-line": b"   ",
+    "array": b"[1, 2]",
+    "truncated": b'{"id": $ID, "status": "ok", "y_out": [1.5',
+    "tab-in-string": b'{"id": $ID, "status": "error", "message": "a\tb"}',
+    "not-json": b"this is not json",
+}
+
+
+def with_ids(templates, first_id):
+    return [line.replace(b"$ID", str(first_id + i).encode()) for i, line in enumerate(templates)]
+
+
+class TestReplyCorpus:
+    """Each reply line is judged as the old one-line-at-a-time parser judged it."""
+
+    @pytest.mark.parametrize("name", sorted(REPLY_CORPUS))
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_alone_and_between_good_lines(self, name, width):
+        line = REPLY_CORPUS[name]
+        for templates in ([line], [GOOD, line, GOOD], [REPLY_CORPUS["error"], line, line]):
+            lines = with_ids(templates, 7)
+            assert outcome(chunk_batch, lines, 7, width) == outcome(reference_batch, lines, 7, width)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(names=st.lists(st.sampled_from(sorted(REPLY_CORPUS)), min_size=1, max_size=8), width=st.integers(1, 2))
+    def test_any_sequence_of_lines_in_one_chunk(self, names, width):
+        lines = with_ids([REPLY_CORPUS[name] for name in names], 3)
+        assert outcome(chunk_batch, lines, 3, width) == outcome(reference_batch, lines, 3, width)
+
+    @pytest.mark.parametrize(
+        "name", ["good", "trailing-cr", "extra-text", "nested-y", "no-y", "error", "wrong-id", "wide", "nan", "non-utf8"]
+    )
+    def test_through_a_live_child(self, tmp_path, name):
+        script = tmp_path / "replies"
+        templates = [GOOD, REPLY_CORPUS[name], GOOD]
+        script.write_bytes(b"\n".join(templates))
+        with ExternalDiscipline(child("replay", str(script))) as ev:
+            out = ev(np.array([[1.0], [2.0], [3.0]]), np.zeros((3, 0)))
+            got = ("returns", out.tobytes(), failure_of(ev.last_error), ev._proc.poll() is not None)
+        assert got == outcome(reference_batch, with_ids(templates, 1), 1, 1)
+
+
+class TestLastError:
+    def test_describes_the_latest_call_only(self):
+        with ExternalDiscipline(child("error-odd")) as ev:
+            first = ev(np.array([[1.0]]), np.zeros((1, 0)))  # id 1 fails remotely
+            assert np.isnan(first).all() and ev.last_error.kind == "remote"
+            second = ev(np.array([[1.0]]), np.zeros((1, 0)))  # id 2 succeeds
+            np.testing.assert_array_equal(second, [[2.0]])
+            assert ev.last_error is None
+            ev(np.array([[3.0]]), np.zeros((1, 0)))
+            assert ev.last_error.kind == "remote"
+            ev(np.zeros((0, 1)), np.zeros((0, 0)))
+            assert ev.last_error is None
 
 
 class TestPipelinedBatch:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mdots.mda import MdaConfig, MdaStatus, gauss_seidel_solve
+from mdots.mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
 from mdots.problems import (
     Discipline,
     MdoProblem,
@@ -180,6 +182,20 @@ class TestInitialDoe:
         with pytest.warns(UserWarning):
             with pytest.raises(RuntimeError):
                 initial_doe_training_sets(problem, 4, np.random.default_rng(10))
+
+    @pytest.mark.parametrize("failure", ["raises", "nan-rows"])
+    def test_a_raise_fails_the_batch_as_nan_rows_do(self, failure):
+        # Both failure channels of the problem interface end the same way: rows dropped, then too few left.
+        def crashed(Z, Yin):
+            if failure == "raises":
+                raise DisciplineFailure("solver crashed")
+            return np.full(Z.shape[0], np.nan)
+
+        toy = toy_problem()
+        problem = replace(toy, disciplines=(replace(toy.disciplines[0], fn=crashed), toy.disciplines[1]))
+        with pytest.warns(UserWarning, match=r"dropping 4 failed DoE point\(s\) for discipline 'f1'"):
+            with pytest.raises(RuntimeError, match="fewer than two usable DoE points for discipline 'f1'"):
+                initial_doe_training_sets(problem, 4, np.random.default_rng(0))
 
 
 class TestWiring:
