@@ -1,9 +1,7 @@
 """Command-line front end: single runs, replicate studies, reports, references.
 
 Every flag can also be supplied through a JSON config file (keys are the
-flag names with underscores); explicit flags override file values. The
-default study worker count can be set with the MDOTS_WORKERS environment
-variable.
+flag names with underscores); explicit flags override file values.
 """
 
 from __future__ import annotations

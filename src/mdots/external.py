@@ -105,10 +105,15 @@ _MISSING = object()  # stands in for an absent y_out; no float conversion accept
 
 
 def _malformed(text: str) -> DisciplineFailure:
-    """The failure for a line the scanner refused, with json.loads's own message and positions."""
+    """The failure for a line the scanner refused, with json.loads's own message and positions.
+
+    Besides a ``JSONDecodeError``, ``json.loads`` refuses an integer past
+    Python's digit limit with a plain ``ValueError`` and deep nesting with a
+    ``RecursionError``; each is a malformed line like any other.
+    """
     try:
         json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         return DisciplineFailure(f"malformed response line: {exc}", kind="protocol")
     return DisciplineFailure("malformed response line", kind="protocol")
 
@@ -119,7 +124,7 @@ def _reply_values(response: dict, width: int):
         return DisciplineFailure(str(response.get("message", "remote error")), kind="remote")
     try:
         y_out = np.asarray(response["y_out"], dtype=float).ravel()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         return DisciplineFailure(f"unusable y_out in response: {exc}", kind="protocol")
     if y_out.size != width:
         return DisciplineFailure(f"y_out has {y_out.size} values, expected {width}", kind="protocol")

@@ -27,7 +27,6 @@ __all__ = [
     "NormStats",
     "TrainedSurrogate",
     "kernel_matrix",
-    "log_marginal_likelihood",
     "fit",
     "posterior_mean",
     "posterior_variance",
@@ -126,18 +125,13 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     return params.signal_variance * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _require_finite(X: np.ndarray, y: np.ndarray) -> None:
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("training inputs and targets must be finite")
-
-
 def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b for a lower Cholesky factor ``L``.
 
     Calls LAPACK's triangular solve directly, as ``linalg.solve_triangular``
     does for a C-ordered factor (solving with ``L.T`` stored upper), minus
-    its per-call validation: ``fit`` and ``log_marginal_likelihood`` check
-    their data for NaN and inf once, before any solve.
+    its per-call validation: ``fit`` checks its data for NaN and inf once,
+    before any solve.
     """
     from scipy.linalg.lapack import dtrtrs
 
@@ -147,22 +141,6 @@ def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
     return x
-
-
-def _lml(L: np.ndarray, alpha: np.ndarray, y_std: np.ndarray):
-    """Log marginal likelihood from the Cholesky factor and ``alpha = K^-1 y``."""
-    return -0.5 * y_std @ alpha - np.log(np.diag(L)).sum() - 0.5 * y_std.size * np.log(2.0 * np.pi)
-
-
-def log_marginal_likelihood(params: KernelParams, X_norm: np.ndarray, y_std: np.ndarray) -> float:
-    """Gaussian log marginal likelihood of standardized targets under ``params``."""
-    X_norm = np.atleast_2d(np.asarray(X_norm, dtype=float))
-    y_std = np.asarray(y_std, dtype=float).ravel()
-    _require_finite(X_norm, y_std)
-    K = kernel_matrix(params, X_norm, X_norm)
-    K[np.diag_indices_from(K)] += params.nugget
-    L = np.linalg.cholesky(K)  # raises LinAlgError if not positive definite
-    return float(_lml(L, _solve_chol(L, y_std), y_std))
 
 
 def _norm_stats(X: np.ndarray, y: np.ndarray) -> NormStats:
@@ -231,7 +209,7 @@ def _neg_lml_and_grad(theta, X_norm, y_std, dim, isotropic, nugget):
     except np.linalg.LinAlgError:
         return 1e25, np.zeros_like(theta)
     alpha = _solve_chol(L, y_std)
-    lml = _lml(L, alpha, y_std)
+    lml = -0.5 * y_std @ alpha - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi)
     # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
     W = np.outer(alpha, alpha) - _solve_chol(L, np.eye(n))
     grad_log_sv = 0.5 * np.sum(W * K_nl)
@@ -264,7 +242,8 @@ def fit(
         raise ValueError("X and y disagree on the number of points")
     if X.shape[0] < 2:
         raise ValueError("need at least two training points")
-    _require_finite(X, y)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("training inputs and targets must be finite")
     rng = np.random.default_rng(rng)
 
     norm = _norm_stats(X, y)

@@ -4,7 +4,8 @@ Convergence is accelerated with dynamic (Aitken delta-squared) relaxation.
 The engine is batch-first: many design points share one sweep loop, each
 candidate carrying its own coupling state, relaxation factor and status.
 Non-convergence and evaluator failures are reported as data so callers can
-penalize instead of aborting.
+penalize instead of aborting. There is one result type, ``CouplingResult``,
+with one row per design point; a solve of a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ __all__ = [
     "DisciplineFailure",
     "MdaStatus",
     "MdaConfig",
-    "CouplingState",
-    "BatchCouplingResult",
+    "CouplingResult",
     "aitken_update",
     "gauss_seidel_solve",
     "solve_batch",
@@ -64,19 +64,8 @@ class MdaConfig:
 
 
 @dataclass
-class CouplingState:
-    """Result of one coupled solve: coupling vector, status and diagnostics."""
-
-    y: np.ndarray
-    status: MdaStatus
-    iterations: int
-    residual: float
-    failure: str | None = None
-
-
-@dataclass
-class BatchCouplingResult:
-    """Per-candidate coupling vectors and statuses for a batch of design points."""
+class CouplingResult:
+    """Per-row coupling vectors, statuses and diagnostics of one coupled solve of ``n`` design points."""
 
     y: np.ndarray  # (n, d_y)
     status: np.ndarray  # (n,) of MdaStatus codes
@@ -101,7 +90,7 @@ def aitken_update(omega: np.ndarray, delta_prev: np.ndarray, delta_curr: np.ndar
     return np.minimum(np.maximum(omega, bounds[0]), bounds[1])
 
 
-def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> BatchCouplingResult:
+def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> CouplingResult:
     """Run Gauss-Seidel sweeps for a batch of design points simultaneously.
 
     Each sweep evaluates the disciplines in order, every discipline seeing
@@ -190,17 +179,13 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> B
 
     y[idx] = y_act
     residual[idx] = res_act
-    return BatchCouplingResult(y=y, status=status, iterations=iterations, residual=residual, failure=failure_note)
+    return CouplingResult(y=y, status=status, iterations=iterations, residual=residual, failure=failure_note)
 
 
-def gauss_seidel_solve(disciplines, z, y0, cfg: MdaConfig) -> CouplingState:
-    """Solve the coupled system for a single design point."""
+def gauss_seidel_solve(disciplines, z, y0, cfg: MdaConfig) -> CouplingResult:
+    """Solve the coupled system for a single design point: ``solve_batch`` on a batch of one.
+
+    Every field of the result keeps its batch axis; read row 0.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    res = solve_batch(disciplines, z[None, :], np.asarray(y0, dtype=float)[None, :], cfg)
-    return CouplingState(
-        y=res.y[0],
-        status=MdaStatus(int(res.status[0])),
-        iterations=int(res.iterations[0]),
-        residual=float(res.residual[0]),
-        failure=res.failure,
-    )
+    return solve_batch(disciplines, z[None, :], np.asarray(y0, dtype=float)[None, :], cfg)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mda import DisciplineFailure, MdaConfig, gauss_seidel_solve
+from .mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
 
 __all__ = [
     "Discipline",
@@ -114,13 +114,13 @@ class MdoProblem:
         return 0.5 * (self.y_bounds[:, 0] + self.y_bounds[:, 1])
 
     def true_objective(self, z, tolerance: float = 1e-10):
-        """Objective at the true coupled solution of ``z`` (NaN if unconverged), and that solve's state."""
+        """Objective at the true coupled solution of ``z`` (NaN if unconverged), and that solve's one-row result."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
         cfg = MdaConfig(tolerance=tolerance, max_iterations=500)
         state = gauss_seidel_solve(self.disciplines, z, self.y_midpoint(), cfg)
-        if int(state.status) != 0:
+        if state.status[0] != MdaStatus.CONVERGED:
             return float("nan"), state
-        return float(self.objective(z[None, :], state.y[None, :])[0]), state
+        return float(self.objective(z[None, :], state.y)[0]), state
 
 
 def toy_problem() -> MdoProblem:

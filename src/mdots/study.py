@@ -27,10 +27,7 @@ __all__ = [
     "run_from_record",
     "resolve_reference",
     "summarize",
-    "resolve_workers",
 ]
-
-WORKERS_ENV = "MDOTS_WORKERS"
 
 log = logging.getLogger(__name__)
 
@@ -80,15 +77,6 @@ def run_from_record(record: RunRecord, out_dir: str | None = None) -> RunRecord:
     return run_replicate(cfg, record.replicate, out_dir=out_dir)
 
 
-def resolve_workers(cfg: ExperimentConfig) -> int:
-    if cfg.workers is not None:
-        return max(1, cfg.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _timed_replicate(cfg: ExperimentConfig, k: int, out_dir: str | None):
     """``(record, error, seconds)`` of one replicate; a failure is returned as its message."""
     started = time.perf_counter()
@@ -103,12 +91,14 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
     """Run ``repeat`` independent replicates and summarize them.
 
     Replicates are keyed by index; execution order (and the worker pool
-    width) cannot change any record or statistic. A replicate that fails
-    outright is warned about and counted as a run that did not converge;
-    the study always completes. Each finished replicate is logged at INFO
-    on the ``mdots.study`` logger, in the order they finish.
+    width) cannot change any record or statistic. The pool has ``workers``
+    processes (``os.cpu_count()`` when unset), at least one and at most
+    ``repeat``. A replicate that fails outright is warned about and counted
+    as a run that did not converge; the study always completes. Each
+    finished replicate is logged at INFO on the ``mdots.study`` logger, in
+    the order they finish.
     """
-    workers = min(resolve_workers(cfg), cfg.repeat)
+    workers = min((os.cpu_count() or 1) if cfg.workers is None else max(1, cfg.workers), cfg.repeat)
     failures: dict[int, str] = {}
     records = []
 

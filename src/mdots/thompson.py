@@ -209,8 +209,9 @@ def mean_evaluators(sset: SurrogateSet):
 def solve_random_mdo(evaluators, problem: MdoProblem, penalty: PenaltySpec, de_cfg: DeConfig, mda_cfg: MdaConfig):
     """Minimize the penalized objective of one set of drawn evaluators.
 
-    Returns the winning design point, the coupling state of one re-solve at
-    that point (last iterate when unconverged) and the penalized value.
+    Returns the winning design point, the ``CouplingResult`` of one re-solve
+    at that point (a batch of one; last iterate when unconverged) and the
+    penalized value.
     """
     objective = penalized_mdo_objective(evaluators, problem, penalty, mda_cfg)
     result = de_minimize(objective, problem.z_bounds, de_cfg)
@@ -299,11 +300,12 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
             de_cfg = cfg.de_config(seeds.de + solve_index)
             solve_index += 1
             z_hat, state, value = solve_random_mdo(evaluators, problem, penalty, de_cfg, mda_cfg)
+            y_hat, status = state.y[0], MdaStatus(int(state.status[0]))
 
             cons = problem.disciplines[m].consumes
-            y_cons = state.y[cons]
+            y_cons = y_hat[cons]
             y_refine = np.clip(y_cons, lo[cons], hi[cons])
-            clamped = state.status != MdaStatus.CONVERGED or bool(np.any(y_refine != y_cons))
+            clamped = status != MdaStatus.CONVERGED or bool(np.any(y_refine != y_cons))
 
             y_true = None
             refined = False
@@ -330,10 +332,10 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
                     iteration=n,
                     discipline=m,
                     z_hat=z_hat.tolist(),
-                    y_hat=state.y.tolist(),
+                    y_hat=y_hat.tolist(),
                     y_refine=y_refine.tolist(),
                     clamped=clamped,
-                    mda_status=str(state.status),
+                    mda_status=str(status),
                     random_value=float(value),
                     y_true=y_true,
                     refined=refined,

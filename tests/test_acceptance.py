@@ -79,7 +79,7 @@ def test_criterion_2_toy_problem_budget_and_quality():
                 record = run_replicate(cfg, 0)
             assert record.evaluations_per_discipline() == [7, 7]
             f_found, state = problem.true_objective(record.final_z)
-            if state.status == MdaStatus.CONVERGED and convergence_check(TOY_REFERENCE, f_found):
+            if state.status[0] == MdaStatus.CONVERGED and convergence_check(TOY_REFERENCE, f_found):
                 hits += 1
         assert hits >= 8, f"only {hits}/10 seeds converged"
         assert time.perf_counter() - started <= 120.0
@@ -91,15 +91,15 @@ def test_criterion_3_reference_oracles():
         state = gauss_seidel_solve(
             sellar.disciplines, [0.0, 2.6345, 0.0], sellar.y_midpoint(), MdaConfig(tolerance=1e-10, max_iterations=200)
         )
-        assert state.status == MdaStatus.CONVERGED
-        assert state.y[0] == pytest.approx(5.92679, abs=1e-3)
-        assert state.y[1] == pytest.approx(5.06900, abs=1e-3)
+        assert state.status[0] == MdaStatus.CONVERGED
+        assert state.y[0, 0] == pytest.approx(5.92679, abs=1e-3)
+        assert state.y[0, 1] == pytest.approx(5.06900, abs=1e-3)
         f_sellar, _ = sellar.true_objective([0.0, 2.6345, 0.0])
         assert f_sellar == pytest.approx(SELLAR_REFERENCE, abs=2e-3)
 
         toy = toy_problem()
         f_toy, toy_state = toy.true_objective([-2.9989])
-        assert toy_state.status == MdaStatus.CONVERGED
+        assert toy_state.status[0] == MdaStatus.CONVERGED
         assert f_toy == pytest.approx(TOY_REFERENCE, abs=1e-3)
 
 
@@ -170,14 +170,14 @@ def test_criterion_6_mda_solver():
             ]
             state = gauss_seidel_solve(disciplines, [0.0], np.zeros(3), MdaConfig(tolerance=tol, max_iterations=500))
             exact = np.linalg.solve(np.eye(3) - A, b)
-            assert state.status == MdaStatus.CONVERGED
-            np.testing.assert_allclose(state.y, exact, atol=10.0 * tol * max(np.abs(exact).max(), 1.0))
+            assert state.status[0] == MdaStatus.CONVERGED
+            np.testing.assert_allclose(state.y[0], exact, atol=10.0 * tol * max(np.abs(exact).max(), 1.0))
 
         slow = Discipline("lin", produces=[0], consumes=[0], fn=lambda Z, Y: 0.9 * Y[:, 0] + 1.0)
         plain = gauss_seidel_solve([slow], [0.0], np.zeros(1), MdaConfig(tolerance=1e-10, max_iterations=1000, aitken=False))
         accel = gauss_seidel_solve([slow], [0.0], np.zeros(1), MdaConfig(tolerance=1e-10, max_iterations=1000, aitken=True))
-        assert plain.status == accel.status == MdaStatus.CONVERGED
-        assert accel.iterations < plain.iterations
+        assert plain.status[0] == accel.status[0] == MdaStatus.CONVERGED
+        assert accel.iterations[0] < plain.iterations[0]
 
 
 def test_criterion_7_de_optimizer():

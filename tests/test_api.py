@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +15,23 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def _load_bench_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = _load_bench_tracing()
+HOOKED = [(module, path) for module, path, *_ in TRACING.HOOKS] + list(TRACING.OBJECTIVE_FACTORIES)
+
+
+@pytest.mark.parametrize("module, path", HOOKED, ids=[f"{m}.{p}" for m, p in HOOKED])
+def test_every_benchmark_hook_resolves(module, path):
+    # The benchmark's tracer rebinds these names from outside the package, so each must stay a callable.
+    target = importlib.import_module(module)
+    for part in path.split("."):
+        target = getattr(target, part)
+    assert callable(target)

@@ -157,10 +157,17 @@ class TestWireBytes:
 
 
 def reference_parse_reply(line: bytes, request_id: int, width: int):
-    """The per-line parser the adapter had before replies were judged a chunk at a time: the oracle."""
+    """The per-line parser the adapter had before replies were judged a chunk at a time: the oracle.
+
+    With one change since: no reply raises anything but a ``DisciplineFailure``.
+    A line ``json.loads`` refuses with any ``ValueError`` (an integer past the
+    digit limit, not only a ``JSONDecodeError``) or a ``RecursionError`` (deep
+    nesting) is malformed, and a ``y_out`` integer beyond float range fails
+    its row. The old parser let those three escape out of a coupled solve.
+    """
     try:
         response = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise DisciplineFailure(f"malformed response line: {exc}", kind="protocol") from exc
     if not isinstance(response, dict) or response.get("id") != request_id:
         raise DisciplineFailure("response id does not match request id", kind="protocol")
@@ -168,7 +175,7 @@ def reference_parse_reply(line: bytes, request_id: int, width: int):
         return DisciplineFailure(str(response.get("message", "remote error")), kind="remote")
     try:
         y_out = np.asarray(response["y_out"], dtype=float).ravel()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return DisciplineFailure(f"unusable y_out in response: {exc}", kind="protocol")
     if y_out.size != width:
         return DisciplineFailure(f"y_out has {y_out.size} values, expected {width}", kind="protocol")
@@ -227,6 +234,8 @@ REPLY_CORPUS = {
     "bool-y": b'{"id": $ID, "status": "ok", "y_out": [true], "message": ""}',
     "huge-exponent-y": b'{"id": $ID, "status": "ok", "y_out": [1e400], "message": ""}',
     "huge-int-y": b'{"id": $ID, "status": "ok", "y_out": [1' + b"0" * 400 + b'], "message": ""}',
+    "too-many-digits-y": b'{"id": $ID, "status": "ok", "y_out": [1' + b"0" * 4300 + b'], "message": ""}',
+    "deep-nesting-y": b'{"id": $ID, "status": "ok", "y_out": ' + b"[" * 100_000 + b"]" * 100_000 + b', "message": ""}',
     "no-y": b'{"id": $ID, "status": "ok", "message": ""}',
     "no-status": b'{"id": $ID, "y_out": [1.5]}',
     "error": b'{"id": $ID, "status": "error", "y_out": [], "message": "solver diverged"}',
@@ -275,7 +284,11 @@ class TestReplyCorpus:
         assert outcome(chunk_batch, lines, 3, width) == outcome(reference_batch, lines, 3, width)
 
     @pytest.mark.parametrize(
-        "name", ["good", "trailing-cr", "extra-text", "nested-y", "no-y", "error", "wrong-id", "wide", "nan", "non-utf8"]
+        "name",
+        [
+            "good", "trailing-cr", "extra-text", "nested-y", "no-y", "error", "wrong-id", "wide", "nan", "non-utf8",
+            "huge-int-y", "too-many-digits-y", "deep-nesting-y",
+        ],
     )
     def test_through_a_live_child(self, tmp_path, name):
         script = tmp_path / "replies"
@@ -376,7 +389,7 @@ class TestInsideMda:
         with ExternalDiscipline(child("error")) as ev:
             disc = Discipline("remote", produces=[0], consumes=[], fn=ev)
             state = gauss_seidel_solve([disc], [0.0], np.array([0.0]), MdaConfig(tolerance=1e-8, max_iterations=10))
-        assert state.status == MdaStatus.EVALUATOR_FAILURE
+        assert state.status[0] == MdaStatus.EVALUATOR_FAILURE
 
     def test_multi_output_discipline_with_every_row_failed(self):
         # The width comes from the spec's "produces", not from a good reply, so a batch with none still has shape.
@@ -401,8 +414,8 @@ class TestInsideMda:
 
             disc = Discipline("remote", produces=[0], consumes=[0], fn=half_feedback)
             state = gauss_seidel_solve([disc], [1.0], np.array([0.0]), MdaConfig(tolerance=1e-10, max_iterations=100))
-        assert state.status == MdaStatus.CONVERGED
-        assert state.y[0] == pytest.approx(2.0, rel=1e-8)  # y = 1 + y/2
+        assert state.status[0] == MdaStatus.CONVERGED
+        assert state.y[0, 0] == pytest.approx(2.0, rel=1e-8)  # y = 1 + y/2
 
 
 def write_spec(tmp_path, discipline_mode="double"):
@@ -438,10 +451,10 @@ class TestExternalProblem:
         problem = load_external_problem(write_spec(tmp_path))
         assert problem.problem_id == "external"
         state = gauss_seidel_solve(problem.disciplines, [1.5], np.zeros(1), MdaConfig(tolerance=1e-9, max_iterations=20))
-        assert state.status == MdaStatus.CONVERGED
-        assert state.y[0] == pytest.approx(3.0)
+        assert state.status[0] == MdaStatus.CONVERGED
+        assert state.y[0, 0] == pytest.approx(3.0)
         # objective child computes z + y*
-        val = problem.objective(np.array([[1.5]]), state.y[None, :])
+        val = problem.objective(np.array([[1.5]]), state.y)
         assert float(val[0]) == pytest.approx(4.5)
 
     def test_close_stops_every_child(self, tmp_path, started_children):

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from mdots.mda import (
     OMEGA_BOUNDS,
     OMEGA_INIT,
-    CouplingState,
+    CouplingResult,
     DisciplineFailure,
     MdaConfig,
     MdaStatus,
@@ -30,58 +30,60 @@ class TestGaussSeidel:
     def test_toy_reference_point(self):
         problem = toy_problem()
         state = gauss_seidel_solve(problem.disciplines, [-2.9989], problem.y_midpoint(), TIGHT)
-        assert state.status == MdaStatus.CONVERGED
+        assert state.status[0] == MdaStatus.CONVERGED
+        y = state.y[0]
         # frozen from the brentq oracle
-        assert state.y[0] == pytest.approx(9.939811368898633, abs=1e-8)
-        assert state.y[1] == pytest.approx(6.940911368898633, abs=1e-8)
-        f = float(problem.objective(np.array([[-2.9989]]), state.y[None, :])[0])
+        assert y[0] == pytest.approx(9.939811368898633, abs=1e-8)
+        assert y[1] == pytest.approx(6.940911368898633, abs=1e-8)
+        f = float(problem.objective(np.array([[-2.9989]]), state.y)[0])
         assert f == pytest.approx(-1.1495, abs=5e-4)
         # cross-check against the independent oracle at runtime
         y1, y2 = toy_fixed_point(-2.9989)
-        assert state.y[0] == pytest.approx(y1, abs=1e-8)
-        assert state.y[1] == pytest.approx(y2, abs=1e-8)
+        assert y[0] == pytest.approx(y1, abs=1e-8)
+        assert y[1] == pytest.approx(y2, abs=1e-8)
 
     def test_sellar_reference_point(self):
         problem = sellar_problem()
         state = gauss_seidel_solve(problem.disciplines, [0.0, 2.6345, 0.0], problem.y_midpoint(), TIGHT)
-        assert state.status == MdaStatus.CONVERGED
+        assert state.status[0] == MdaStatus.CONVERGED
         # closed form: s^2 + 0.2 s - 6.41369025 = 0, y1 = s^2, y2 = s + 2.6345
-        assert state.y[0] == pytest.approx(5.92679025, abs=1e-4)
-        assert state.y[1] == pytest.approx(5.069, abs=1e-4)
+        assert state.y[0, 0] == pytest.approx(5.92679025, abs=1e-4)
+        assert state.y[0, 1] == pytest.approx(5.069, abs=1e-4)
 
     def test_fixed_point_is_stationary(self):
         problem = toy_problem()
         y1, y2 = toy_fixed_point(1.5)
         state = gauss_seidel_solve(problem.disciplines, [1.5], np.array([y1, y2]), TIGHT)
-        assert state.status == MdaStatus.CONVERGED
-        assert state.iterations <= 2
-        assert state.residual <= TIGHT.tolerance
-        np.testing.assert_allclose(state.y, [y1, y2], rtol=1e-9)
+        assert state.status[0] == MdaStatus.CONVERGED
+        assert state.iterations[0] <= 2
+        assert state.residual[0] <= TIGHT.tolerance
+        np.testing.assert_allclose(state.y[0], [y1, y2], rtol=1e-9)
 
     def test_converged_state_satisfies_discipline_equations(self):
         problem = toy_problem()
         rng = np.random.default_rng(0)
         for z in rng.uniform(-5.0, 5.0, size=8):
             state = gauss_seidel_solve(problem.disciplines, [z], problem.y_midpoint(), TIGHT)
-            assert state.status == MdaStatus.CONVERGED
+            assert state.status[0] == MdaStatus.CONVERGED
+            y = state.y[0]
             for disc in problem.disciplines:
-                out = disc.fn(np.array([[z]]), state.y[None, disc.consumes])
-                change = abs(float(out[0]) - state.y[disc.produces[0]])
-                assert change <= 5.0 * TIGHT.tolerance * max(abs(state.y[disc.produces[0]]), 1e-12)
+                out = disc.fn(np.array([[z]]), y[None, disc.consumes])
+                change = abs(float(out[0]) - y[disc.produces[0]])
+                assert change <= 5.0 * TIGHT.tolerance * max(abs(y[disc.produces[0]]), 1e-12)
 
     def test_max_iterations_reported_not_raised(self):
         diverging = Discipline("d", produces=[0], consumes=[0], fn=lambda Z, Y: -1.5 * Y[:, 0] + 1.0)
         cfg = MdaConfig(tolerance=1e-10, max_iterations=30, aitken=False)
         state = gauss_seidel_solve([diverging], [0.0], np.array([0.3]), cfg)
-        assert state.status == MdaStatus.MAX_ITERATIONS
-        assert state.iterations == 30
+        assert state.status[0] == MdaStatus.MAX_ITERATIONS
+        assert state.iterations[0] == 30
 
     def test_evaluator_failure_from_nan_output(self):
         problem = sellar_problem()
         # at z = 0 a positive y2 drives y1 = -0.2*y2 negative, so the
         # square root in the second discipline fails on the first sweep
         state = gauss_seidel_solve(problem.disciplines, [0.0, 0.0, 0.0], np.array([25.5, 10.0]), TIGHT)
-        assert state.status == MdaStatus.EVALUATOR_FAILURE
+        assert state.status[0] == MdaStatus.EVALUATOR_FAILURE
         assert state.failure is not None
 
     def test_evaluator_failure_from_raised_exception(self):
@@ -90,7 +92,7 @@ class TestGaussSeidel:
 
         disc = Discipline("boom", produces=[0], consumes=[0], fn=boom)
         state = gauss_seidel_solve([disc], [0.0], np.array([0.0]), TIGHT)
-        assert state.status == MdaStatus.EVALUATOR_FAILURE
+        assert state.status[0] == MdaStatus.EVALUATOR_FAILURE
         assert "crash" in state.failure
 
     def test_failure_keeps_last_valid_iterate(self):
@@ -104,8 +106,8 @@ class TestGaussSeidel:
 
         disc = Discipline("flaky", produces=[0], consumes=[0], fn=flaky)
         state = gauss_seidel_solve([disc], [0.0], np.array([0.0]), MdaConfig(tolerance=1e-12, max_iterations=50))
-        assert state.status == MdaStatus.EVALUATOR_FAILURE
-        assert np.isfinite(state.y[0])
+        assert state.status[0] == MdaStatus.EVALUATOR_FAILURE
+        assert np.isfinite(state.y[0, 0])
 
 
 class TestLinearContraction:
@@ -132,8 +134,8 @@ class TestLinearContraction:
             disciplines = self.make_disciplines(A, b)
             cfg = MdaConfig(tolerance=1e-11, max_iterations=500)
             state = gauss_seidel_solve(disciplines, [0.0], np.zeros(3), cfg)
-            assert state.status == MdaStatus.CONVERGED
-            np.testing.assert_allclose(state.y, exact, atol=10.0 * cfg.tolerance * np.abs(exact).max() + 1e-12)
+            assert state.status[0] == MdaStatus.CONVERGED
+            np.testing.assert_allclose(state.y[0], exact, atol=10.0 * cfg.tolerance * np.abs(exact).max() + 1e-12)
 
     def test_discipline_order_does_not_change_fixed_point(self):
         rng = np.random.default_rng(2)
@@ -145,8 +147,8 @@ class TestLinearContraction:
         cfg = MdaConfig(tolerance=1e-11, max_iterations=500)
         forward = gauss_seidel_solve(disciplines, [0.0], np.zeros(3), cfg)
         backward = gauss_seidel_solve(disciplines[::-1], [0.0], np.zeros(3), cfg)
-        assert forward.status == backward.status == MdaStatus.CONVERGED
-        np.testing.assert_allclose(forward.y, backward.y, atol=10.0 * cfg.tolerance * np.abs(forward.y).max())
+        assert forward.status[0] == backward.status[0] == MdaStatus.CONVERGED
+        np.testing.assert_allclose(forward.y[0], backward.y[0], atol=10.0 * cfg.tolerance * np.abs(forward.y).max())
 
 
 class TestAitken:
@@ -170,10 +172,10 @@ class TestAitken:
         tol = 1e-10
         plain = gauss_seidel_solve([disc], [0.0], np.array([0.0]), MdaConfig(tolerance=tol, max_iterations=1000, aitken=False))
         accel = gauss_seidel_solve([disc], [0.0], np.array([0.0]), MdaConfig(tolerance=tol, max_iterations=1000, aitken=True))
-        assert plain.status == accel.status == MdaStatus.CONVERGED
-        assert accel.iterations < plain.iterations
-        assert plain.y[0] == pytest.approx(10.0, rel=1e-9)
-        assert accel.y[0] == pytest.approx(10.0, rel=1e-9)
+        assert plain.status[0] == accel.status[0] == MdaStatus.CONVERGED
+        assert accel.iterations[0] < plain.iterations[0]
+        assert plain.y[0, 0] == pytest.approx(10.0, rel=1e-9)
+        assert accel.y[0, 0] == pytest.approx(10.0, rel=1e-9)
 
 
 class TestBatchSolve:
@@ -183,8 +185,9 @@ class TestBatchSolve:
         res = solve_batch(problem.disciplines, Z, problem.y_midpoint()[None, :], TIGHT)
         for k, z in enumerate(Z):
             single = gauss_seidel_solve(problem.disciplines, z, problem.y_midpoint(), TIGHT)
-            assert MdaStatus(int(res.status[k])) == single.status
-            np.testing.assert_allclose(res.y[k], single.y, rtol=1e-12, atol=1e-12)
+            assert type(single) is CouplingResult and single.y.shape == (1, 2)  # one result type, one row
+            assert res.status[k] == single.status[0]
+            np.testing.assert_allclose(res.y[k], single.y[0], rtol=1e-12, atol=1e-12)
 
     def test_mixed_statuses_in_one_batch(self):
         problem = sellar_problem()

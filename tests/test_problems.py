@@ -28,7 +28,7 @@ class TestToyProblem:
     def test_objective_at_derived_fixed_point(self):
         problem = toy_problem()
         f, state = problem.true_objective([-2.9989])
-        assert state.status == MdaStatus.CONVERGED
+        assert state.status[0] == MdaStatus.CONVERGED
         assert f == pytest.approx(-1.1497, abs=5e-4)
 
     def test_bounds_and_reference(self):
@@ -78,12 +78,13 @@ class TestSellarProblem:
                 [rng.uniform(0.0, 10.0), rng.uniform(-10.0, 10.0), rng.uniform(0.0, 10.0)]
             )
             state = gauss_seidel_solve(problem.disciplines, z, problem.y_midpoint(), cfg)
-            if state.status != MdaStatus.CONVERGED or state.y[0] < 1.0:
+            y = state.y[0]
+            if state.status[0] != MdaStatus.CONVERGED or y[0] < 1.0:
                 continue
             checked += 1
             for disc in problem.disciplines:
-                out = float(disc.fn(z[None, :], state.y[None, disc.consumes])[0])
-                target = state.y[disc.produces[0]]
+                out = float(disc.fn(z[None, :], y[None, disc.consumes])[0])
+                target = y[disc.produces[0]]
                 assert abs(out - target) <= 10.0 * cfg.tolerance * max(abs(target), 1e-12)
         assert checked >= 50
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import logging
+import os
 import re
 import warnings
 
@@ -28,7 +29,6 @@ from mdots.study import (
     run_study,
     summarize,
     resolve_reference,
-    resolve_workers,
 )
 from mdots.thompson import Seeds, replicate_seeds, run_mdo_ts
 
@@ -101,14 +101,6 @@ class TestSeeds:
     def test_replicate_seed_policy(self):
         seeds = replicate_seeds(100, 7)
         assert seeds == Seeds(doe=107, paths=1_000_107, de=2_000_107)
-
-    def test_workers_env(self, monkeypatch):
-        cfg = ExperimentConfig(problem="toy")
-        monkeypatch.setenv("MDOTS_WORKERS", "3")
-        assert resolve_workers(cfg) == 3
-        assert resolve_workers(dataclasses.replace(cfg, workers=2)) == 2
-        monkeypatch.delenv("MDOTS_WORKERS")
-        assert resolve_workers(cfg) >= 1
 
 
 class TestRelaunch:
@@ -204,6 +196,42 @@ class TestStudy:
                 b.final_z,
                 b.final_value,
             )
+
+    def test_worker_count(self, monkeypatch):
+        # ``workers`` when set, at least one; one per CPU when unset; never more than ``repeat``.
+        import concurrent.futures
+
+        import mdots.study as study_mod
+
+        record = small_record(seed=0)
+        monkeypatch.setattr(study_mod, "run_replicate", lambda cfg, k, out_dir=None: dataclasses.replace(record, replicate=k))
+        widths = []
+
+        class InlinePool:
+            """Records its width and runs each replicate when it is submitted."""
+
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        # (workers, CPUs, pools opened): a width of one runs the replicates without a pool.
+        for workers, cpus, pools in [(None, 3, [3]), (None, None, []), (2, 8, [2]), (9, 8, [4]), (0, 8, []), (-3, 8, [])]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            widths.clear()
+            records, _ = run_study(ExperimentConfig(problem="toy", repeat=4, workers=workers))
+            assert widths == pools, (workers, cpus)
+            assert [r.replicate for r in records] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
     def test_each_finished_replicate_is_logged(self, caplog, workers):
