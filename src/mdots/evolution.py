@@ -10,7 +10,7 @@ coupling-bound violations turn into additive penalties rather than errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,9 +150,7 @@ def penalized_mdo_objective(evaluators, problem: MdoProblem, penalty: PenaltySpe
     The returned callable takes a batch of design points ``(n, d_z)`` and
     returns ``(n,)``.
     """
-    if len(evaluators) != problem.n_disciplines:
-        raise ValueError("one evaluator per discipline is required")
-    disciplines = tuple(replace(d, fn=e) for d, e in zip(problem.disciplines, evaluators))
+    disciplines = problem.bind(evaluators)
     lo, hi = problem.y_bounds[:, 0], problem.y_bounds[:, 1]
     width = hi - lo
     midpoint = problem.y_midpoint()

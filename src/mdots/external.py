@@ -330,11 +330,16 @@ def load_external_problem(spec: dict | str) -> MdoProblem:
     carries one value per ``produces`` entry) and ``objective_cmd``, a child
     speaking the same protocol whose single output is the objective value at
     (z, y_star). ``reference`` with keys ``z`` and ``objective`` is
-    optional. Close the problem to stop its children.
+    optional. Close the problem to stop its children. An unreadable spec file,
+    a missing key or a value of the wrong type is a ``ValueError``, raised
+    after closing any child already started.
     """
     if isinstance(spec, str):
-        with open(spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                spec = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            raise ValueError(f"cannot read external problem spec {spec!r}: {exc}") from None
     children = []
     try:
         disciplines = []
@@ -365,8 +370,12 @@ def load_external_problem(spec: dict | str) -> MdoProblem:
             reference=reference,
             resources=tuple(children),
         )
-    except BaseException:
+    except BaseException as exc:
         # A spec that fails part way must not leave the children already started running.
         for child in children:
             child.close()
+        if isinstance(exc, KeyError):
+            raise ValueError(f"external problem spec is missing the key {exc.args[0]!r}") from None
+        if isinstance(exc, TypeError):
+            raise ValueError(f"malformed external problem spec: {exc}") from None
         raise

@@ -5,8 +5,8 @@ touches the kernel, so hyperparameters always live in normalized space.
 The Cholesky factor of the regularized kernel matrix is cached on the
 fitted model; posterior sampling reuses it directly. Every fitted model has
 data: ``fit`` needs two points and deduplication keeps at least one.
-Queries take a batch ``(n, d)`` and return ``(n,)``; a single point ``(d,)``
-goes through ``_as_batch`` as a batch of one and comes back as a float.
+Queries take a batch ``(n, d)`` only and return ``(n,)``; one point is a
+batch of one row, and any other shape is a ``ValueError``.
 
 Importing this module (and so ``mdots``) loads numpy only. SciPy's optimizer
 and triangular solves are imported inside the functions that use them, so
@@ -109,14 +109,12 @@ class TrainedSurrogate:
         return self.params.dim
 
 
-def _as_batch(x, dim: int):
-    """``x`` as rows ``(n, dim)``, and whether it was one point ``(dim,)``."""
+def _as_batch(x, dim: int) -> np.ndarray:
+    """``x`` as float rows ``(n, dim)``; any other shape is a ValueError."""
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != dim:
-        raise ValueError(f"expected points of dimension {dim}, got {arr.shape[1]}")
-    return arr, single
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"expected a batch of shape (n, {dim}), got shape {arr.shape}")
+    return arr
 
 
 def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -125,8 +123,8 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     return params.signal_variance * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b for a lower Cholesky factor ``L``.
+def _triangular_solve(L: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """Solve ``L x = b`` (``trans=1``) or ``L^T x = b`` (``trans=0``) for a lower factor ``L``.
 
     Calls LAPACK's triangular solve directly, as ``linalg.solve_triangular``
     does for a C-ordered factor (solving with ``L.T`` stored upper), minus
@@ -135,12 +133,15 @@ def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     from scipy.linalg.lapack import dtrtrs
 
-    w, info = dtrtrs(L.T, b, lower=0, trans=1)
-    if info == 0:
-        x, info = dtrtrs(L.T, w, lower=0, trans=0)
+    x, info = dtrtrs(L.T, b, lower=0, trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
     return x
+
+
+def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b for a lower Cholesky factor ``L``."""
+    return _triangular_solve(L, _triangular_solve(L, b, 1), 0)
 
 
 def _norm_stats(X: np.ndarray, y: np.ndarray) -> NormStats:
@@ -287,21 +288,15 @@ def fit(
     return TrainedSurrogate(params=params, chol=L, alpha=alpha, norm=norm, X_norm=X_norm, y_std=y_std)
 
 
-def posterior_mean(s: TrainedSurrogate, x):
-    """Posterior mean at ``x`` in raw output units; accepts a point or a batch."""
-    Xq, single = _as_batch(x, s.dim)
-    m = kernel_matrix(s.params, s.norm.normalize_inputs(Xq), s.X_norm) @ s.alpha
-    out = s.norm.output_mean + s.norm.output_std * m
-    return float(out[0]) if single else out
+def posterior_mean(s: TrainedSurrogate, X) -> np.ndarray:
+    """Posterior mean at the rows of ``X`` ``(n, d)`` in raw output units, ``(n,)``."""
+    Kxs = kernel_matrix(s.params, s.norm.normalize_inputs(_as_batch(X, s.dim)), s.X_norm)
+    return s.norm.output_mean + s.norm.output_std * (Kxs @ s.alpha)
 
 
-def posterior_variance(s: TrainedSurrogate, x):
-    """Posterior variance at ``x`` in raw output units, clamped at zero."""
-    from scipy import linalg
-
-    Xq, single = _as_batch(x, s.dim)
-    Kxs = kernel_matrix(s.params, s.norm.normalize_inputs(Xq), s.X_norm)
-    w = linalg.solve_triangular(s.chol, Kxs.T, lower=True)
+def posterior_variance(s: TrainedSurrogate, X) -> np.ndarray:
+    """Posterior variance at the rows of ``X`` ``(n, d)`` in raw output units, clamped at zero, ``(n,)``."""
+    Kxs = kernel_matrix(s.params, s.norm.normalize_inputs(_as_batch(X, s.dim)), s.X_norm)
+    w = _triangular_solve(s.chol, Kxs.T, 1)
     var = s.params.signal_variance - np.einsum("ij,ij->j", w, w)
-    out = np.maximum(var, 0.0) * s.norm.output_std**2
-    return float(out[0]) if single else out
+    return np.maximum(var, 0.0) * s.norm.output_std**2

@@ -62,6 +62,11 @@ class MdaConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
+    @classmethod
+    def reference(cls, tolerance: float) -> "MdaConfig":
+        """Settings of a solve of the true problem: a true objective or a reference re-solve."""
+        return cls(tolerance=tolerance, max_iterations=500)
+
 
 @dataclass
 class CouplingResult:
@@ -125,12 +130,18 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
     omega = np.full(n, OMEGA_INIT if cfg.aitken else 1.0)
     delta_prev = None  # every active row has one from sweep 2 on
 
-    def retire(rows, code, sweep, y_rows, res_rows):
-        gone = idx[rows]
-        status[gone] = int(code)
-        iterations[gone] = sweep
-        y[gone] = y_rows
-        residual[gone] = res_rows
+    def retire(gone, code, sweep):
+        """Record the active rows ``gone`` as finished with ``code`` at their current iterate, and drop them."""
+        nonlocal idx, Z_act, y_act, y_new, res_act, omega, delta_prev
+        rows = idx[gone]
+        status[rows] = int(code)
+        iterations[rows] = sweep
+        y[rows] = y_act[gone]
+        residual[rows] = res_act[gone]
+        keep = ~gone
+        idx, Z_act, y_act, y_new, res_act, omega = idx[keep], Z_act[keep], y_act[keep], y_new[keep], res_act[keep], omega[keep]
+        if delta_prev is not None:
+            delta_prev = delta_prev[keep]
 
     for sweep in range(1, cfg.max_iterations + 1):
         if idx.size == 0:
@@ -152,14 +163,8 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
                     failure_note = failure_note or f"discipline {disc.name!r} returned non-finite output"
                 y_new[:, disc.produces] = out
 
-        if failed is not None:
-            retire(failed, MdaStatus.EVALUATOR_FAILURE, sweep, y_act[failed], res_act[failed])
-            ok = ~failed
-            idx, Z_act, y_act, y_new, res_act, omega = idx[ok], Z_act[ok], y_act[ok], y_new[ok], res_act[ok], omega[ok]
-            if delta_prev is not None:
-                delta_prev = delta_prev[ok]
-            if idx.size == 0:
-                break
+        if failed is not None:  # a failed row keeps its last valid iterate
+            retire(failed, MdaStatus.EVALUATOR_FAILURE, sweep)
 
         delta = y_new - y_act
         if cfg.aitken and delta_prev is not None:
@@ -171,11 +176,7 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
 
         done = res_act <= cfg.tolerance
         if done.any():
-            retire(done, MdaStatus.CONVERGED, sweep, y_act[done], res_act[done])
-            keep = ~done
-            idx, Z_act, y_act, res_act, omega, delta_prev = (
-                idx[keep], Z_act[keep], y_act[keep], res_act[keep], omega[keep], delta_prev[keep]
-            )
+            retire(done, MdaStatus.CONVERGED, sweep)
 
     y[idx] = y_act
     residual[idx] = res_act

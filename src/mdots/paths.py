@@ -4,9 +4,9 @@ A draw is a continuous, deterministic function cheap enough to sit inside an
 iterative coupled solve: a cosine expansion of the prior (frequencies from the
 kernel's spectral density) corrected by a kernel-weighted residual term that
 pins the path to the training data. Every surrogate a path is drawn from
-has data (``gp.fit`` needs two points). ``eval_path`` scores a batch of
-points ``(n, d)`` in one call, as the coupled solve does; one point ``(d,)``
-goes through the same code as a batch of one.
+has data (``gp.fit`` needs two points). ``eval_path`` takes a batch of
+points ``(n, d)`` only, as the coupled solve passes them, and returns
+``(n,)``; one point is a batch of one row.
 """
 
 from __future__ import annotations
@@ -91,11 +91,9 @@ def draw_path(surrogate: TrainedSurrogate, n_features: int = DEFAULT_FEATURES, r
     return PathSample(features=fm, update_coeffs=v, anchor=surrogate)
 
 
-def eval_path(path: PathSample, x):
-    """Evaluate the path at a batch (n, d) or a point (d,); raw output units."""
+def eval_path(path: PathSample, X) -> np.ndarray:
+    """Evaluate the path at the rows of ``X`` ``(n, d)``; ``(n,)`` in raw output units."""
     s = path.anchor
-    Xq, single = _as_batch(x, s.dim)
-    Xqn = s.norm.normalize_inputs(Xq)
+    Xqn = s.norm.normalize_inputs(_as_batch(X, s.dim))
     vals = _prior_values(path.features, Xqn) + kernel_matrix(s.params, Xqn, s.X_norm) @ path.update_coeffs
-    out = s.norm.output_mean + s.norm.output_std * vals
-    return float(out[0]) if single else out
+    return s.norm.output_mean + s.norm.output_std * vals

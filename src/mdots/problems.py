@@ -11,7 +11,7 @@ alone, and is the only way to fail rows one by one. A callable that raises
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,11 +113,16 @@ class MdoProblem:
         """Coupling-box midpoint, where every coupled solve starts."""
         return 0.5 * (self.y_bounds[:, 0] + self.y_bounds[:, 1])
 
+    def bind(self, evaluators) -> tuple:
+        """The disciplines with their callables replaced by ``evaluators``, one per discipline in order."""
+        if len(evaluators) != self.n_disciplines:
+            raise ValueError("one evaluator per discipline is required")
+        return tuple(replace(d, fn=e) for d, e in zip(self.disciplines, evaluators))
+
     def true_objective(self, z, tolerance: float = 1e-10):
         """Objective at the true coupled solution of ``z`` (NaN if unconverged), and that solve's one-row result."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        cfg = MdaConfig(tolerance=tolerance, max_iterations=500)
-        state = gauss_seidel_solve(self.disciplines, z, self.y_midpoint(), cfg)
+        state = gauss_seidel_solve(self.disciplines, z, self.y_midpoint(), MdaConfig.reference(tolerance))
         if state.status[0] != MdaStatus.CONVERGED:
             return float("nan"), state
         return float(self.objective(z[None, :], state.y)[0]), state

@@ -143,8 +143,7 @@ def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: f
     if problem.reference is not None and not recompute:
         return problem.reference
     evaluators = [d.fn for d in problem.disciplines]
-    mda_cfg = MdaConfig(tolerance=tolerance, max_iterations=500)
-    objective = penalized_mdo_objective(evaluators, problem, PenaltySpec(), mda_cfg)
+    objective = penalized_mdo_objective(evaluators, problem, PenaltySpec(), MdaConfig.reference(tolerance))
     de_cfg = DeConfig(max_generations=400, seed=0)
     result = de_minimize(objective, problem.z_bounds, de_cfg)
     f_true, _ = problem.true_objective(result.z, tolerance=tolerance)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -176,10 +176,12 @@ def refine_discipline(sset: SurrogateSet, m: int, x_new, y_new, cfg: ExperimentC
     sset.models[m] = _fit_outputs(ts, cfg, rng, warm=sset.models[m])
 
 
-def _stacked(fns):
+def _stacked(query, anchors):
+    """One discipline's evaluator: ``query(anchor, X)`` per output on the rows ``X = [Z, Yin]``."""
+
     def evaluator(Z, Yin):
-        X = np.concatenate([np.atleast_2d(Z), np.atleast_2d(Yin)], axis=1)
-        return np.column_stack([f(X) for f in fns])
+        X = np.concatenate([Z, Yin], axis=1)
+        return np.column_stack([query(a, X) for a in anchors])
 
     return evaluator
 
@@ -191,19 +193,12 @@ def path_evaluators(sset: SurrogateSet, n_features: int, rng):
     fixed order, so one seed pins the complete random problem.
     """
     rng = np.random.default_rng(rng)
-    evaluators = []
-    for models in sset.models:
-        paths = [draw_path(s, n_features, rng) for s in models]
-        evaluators.append(_stacked([lambda X, p=p: eval_path(p, X) for p in paths]))
-    return evaluators
+    return [_stacked(eval_path, [draw_path(s, n_features, rng) for s in models]) for models in sset.models]
 
 
 def mean_evaluators(sset: SurrogateSet):
     """Posterior-mean evaluators, one per discipline."""
-    return [
-        _stacked([lambda X, s=s: posterior_mean(s, X) for s in models])
-        for models in sset.models
-    ]
+    return [_stacked(posterior_mean, models) for models in sset.models]
 
 
 def solve_random_mdo(evaluators, problem: MdoProblem, penalty: PenaltySpec, de_cfg: DeConfig, mda_cfg: MdaConfig):
@@ -215,8 +210,7 @@ def solve_random_mdo(evaluators, problem: MdoProblem, penalty: PenaltySpec, de_c
     """
     objective = penalized_mdo_objective(evaluators, problem, penalty, mda_cfg)
     result = de_minimize(objective, problem.z_bounds, de_cfg)
-    bound = tuple(replace(d, fn=e) for d, e in zip(problem.disciplines, evaluators))
-    state = gauss_seidel_solve(bound, result.z, problem.y_midpoint(), mda_cfg)
+    state = gauss_seidel_solve(problem.bind(evaluators), result.z, problem.y_midpoint(), mda_cfg)
     return result.z, state, result.value
 
 

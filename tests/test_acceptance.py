@@ -146,8 +146,8 @@ def test_criterion_5_gp_dense_oracle_equivalence():
             for _ in range(4):
                 xq = rng.uniform(-2.0, 2.0, size=d)
                 om, ov = dense_posterior(s, xq)
-                assert posterior_mean(s, xq) == pytest.approx(om, rel=1e-10, abs=1e-12)
-                assert posterior_variance(s, xq) == pytest.approx(max(ov, 0.0), rel=1e-10, abs=1e-12)
+                assert posterior_mean(s, xq[None, :])[0] == pytest.approx(om, rel=1e-10, abs=1e-12)
+                assert posterior_variance(s, xq[None, :])[0] == pytest.approx(max(ov, 0.0), rel=1e-10, abs=1e-12)
 
 
 def test_criterion_6_mda_solver():

@@ -96,6 +96,55 @@ class TestStudyCommand:
         assert not out.exists()
 
 
+class TestExternalSpecErrors:
+    """A spec that cannot be used ends the command with one ``error:`` line and exit code 1, not a traceback."""
+
+    def run_external(self, tmp_path, capsys, spec_path):
+        argv = ["run", "--problem", "external", "--external-cmd", spec_path, "--out", str(tmp_path / "runs")]
+        code = run_cli(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
+
+    def test_missing_key_is_named_and_started_children_are_closed(self, tmp_path, capsys, monkeypatch):
+        from mdots.external import ExternalDiscipline
+
+        started = []
+        init = ExternalDiscipline.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            started.append(self)
+
+        monkeypatch.setattr(ExternalDiscipline, "__init__", recording_init)
+        worker = os.path.join(os.path.dirname(__file__), "child_worker.py")
+        spec = {
+            "z_bounds": [[1.0, 4.0]],
+            "y_bounds": [[-20.0, 20.0]],
+            "disciplines": [{"cmd": [sys.executable, worker, "double"], "produces": [0], "consumes": []}],
+        }
+        spec_path = tmp_path / "problem.json"
+        spec_path.write_text(json.dumps(spec))
+        line = self.run_external(tmp_path, capsys, str(spec_path))
+        assert "'objective_cmd'" in line
+        assert len(started) == 1 and started[0]._proc.poll() is not None
+
+    def test_missing_spec_file_is_named(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-spec.json")
+        assert missing in self.run_external(tmp_path, capsys, missing)
+
+    def test_spec_that_is_not_json_is_named(self, tmp_path, capsys):
+        spec_path = tmp_path / "problem.json"
+        spec_path.write_text("{not json")
+        assert str(spec_path) in self.run_external(tmp_path, capsys, str(spec_path))
+
+    def test_spec_with_a_wrongly_typed_value_is_one_line(self, tmp_path, capsys):
+        spec_path = tmp_path / "problem.json"
+        spec_path.write_text(json.dumps({"z_bounds": [[0.0, 1.0]], "y_bounds": [[0.0, 1.0]], "disciplines": 5}))
+        assert "malformed external problem spec" in self.run_external(tmp_path, capsys, str(spec_path))
+
+
 class TestReportCommand:
     def test_report_emits_traces_and_aggregate(self, tmp_path, capsys, quick_args):
         out = str(tmp_path / "study")

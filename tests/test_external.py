@@ -489,3 +489,22 @@ class TestExternalProblem:
             load_external_problem(spec)
         assert started_children
         assert all(ev._proc.poll() is not None for ev in started_children)
+
+    @pytest.mark.parametrize("key", ["objective_cmd", "z_bounds", "disciplines"])
+    def test_missing_key_is_a_value_error_naming_it(self, tmp_path, started_children, key):
+        with open(write_spec(tmp_path), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        del spec[key]
+        with pytest.raises(ValueError, match=f"missing the key '{key}'"):
+            load_external_problem(spec)
+        assert all(ev._proc.poll() is not None for ev in started_children)
+
+    def test_unreadable_spec_path_is_a_value_error_naming_it(self, tmp_path):
+        missing = str(tmp_path / "absent.json")
+        with pytest.raises(ValueError, match="absent.json"):
+            load_external_problem(missing)
+
+    @pytest.mark.parametrize("spec", [{"disciplines": 5}, [1, 2]], ids=["disciplines-not-a-list", "spec-not-an-object"])
+    def test_wrongly_typed_spec_is_a_value_error(self, spec):
+        with pytest.raises(ValueError, match="malformed external problem spec"):
+            load_external_problem(spec)

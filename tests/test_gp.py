@@ -109,22 +109,20 @@ class TestFit:
     def test_degenerate_targets_give_zero_mean(self):
         s = fit([[0.0], [1.0]], [0.0, 0.0], rng=0)
         assert s.norm.output_std == 1.0
-        for x in ([0.25], [0.9], [3.0]):
-            assert posterior_mean(s, x) == pytest.approx(0.0, abs=1e-12)
+        assert posterior_mean(s, [[0.25], [0.9], [3.0]]) == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
 
     def test_near_interpolation_sine(self):
         x = np.linspace(0.0, 2.0 * np.pi, 5)[:, None]
         y = np.sin(x[:, 0])
         s = fit(x, y, rng=1)
-        for xi, yi in zip(x, y):
-            assert posterior_mean(s, xi) == pytest.approx(yi, abs=1e-3)
+        assert posterior_mean(s, x) == pytest.approx(y, abs=1e-3)
 
     def test_quadratic_prediction_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
         x = np.sort(rng.uniform(-2.0, 2.0, size=20))[:, None]
         y = x[:, 0] ** 2
         s = fit(x, y, rng=3)
-        pred = posterior_mean(s, [0.5])
+        pred = posterior_mean(s, [[0.5]])[0]
         assert pred == pytest.approx(0.25, abs=1e-2)
         # Smooth targets drive the kernel matrix near-singular, so dense-LU
         # and Cholesky solves only agree up to the conditioning here; the
@@ -250,6 +248,29 @@ class TestSolveChol:
             _solve_chol(L, np.ones(2))
 
 
+def reference_posterior_variance(s, Xq):
+    """The variance through ``scipy.linalg.solve_triangular``, as it was computed before the one LAPACK route."""
+    Kxs = kernel_matrix(s.params, s.norm.normalize_inputs(Xq), s.X_norm)
+    w = linalg.solve_triangular(s.chol, Kxs.T, lower=True)
+    var = s.params.signal_variance - np.einsum("ij,ij->j", w, w)
+    return np.maximum(var, 0.0) * s.norm.output_std**2
+
+
+class TestPosteriorVarianceReference:
+    @pytest.mark.parametrize("rows", [1, 40])
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("n", [2, 7, 15])
+    def test_bit_equal_to_solve_triangular(self, n, d, rows):
+        rng = np.random.default_rng(100 * n + 10 * d + rows)
+        X = rng.uniform(-1.0, 2.0, size=(n, d))
+        s = fit(X, np.sin(2.0 * X).sum(axis=1), restarts=0, rng=rng)
+        assert s.n == n and s.chol.flags.c_contiguous
+        Xq = rng.uniform(-1.5, 2.5, size=(rows, d))
+        if rows > n:
+            Xq[:n] = X  # the training inputs too, where the variance is near zero or clamped
+        assert np.array_equal(posterior_variance(s, Xq), reference_posterior_variance(s, Xq))
+
+
 class TestPosterior:
     def test_mean_interpolates_training_points(self):
         rng = np.random.default_rng(9)
@@ -257,26 +278,24 @@ class TestPosterior:
         y = np.sin(x[:, 0]) * np.cos(x[:, 1])
         s = fit(x, y, rng=10)
         tol = 10.0 * np.sqrt(s.params.nugget) * s.norm.output_std
-        for xi, yi in zip(x, y):
-            assert abs(posterior_mean(s, xi) - yi) <= tol
+        assert np.all(np.abs(posterior_mean(s, x) - y) <= tol)
 
     def test_far_field_reverts_to_prior(self):
         x = np.linspace(0.0, 1.0, 6)[:, None]
         y = np.sin(6.0 * x[:, 0])
         s = fit(x, y, rng=12)
         span = s.norm.input_scale[0]
-        far = np.array([1.0 + 25.0 * s.params.length_scales[0] * span])
-        assert abs(posterior_mean(s, far) - s.norm.output_mean) <= 1e-3 * s.norm.output_std
+        far = np.array([[1.0 + 25.0 * s.params.length_scales[0] * span]])
+        assert abs(posterior_mean(s, far)[0] - s.norm.output_mean) <= 1e-3 * s.norm.output_std
         prior_var = s.params.signal_variance * s.norm.output_std**2
-        assert posterior_variance(s, far) == pytest.approx(prior_var, rel=1e-3)
+        assert posterior_variance(s, far)[0] == pytest.approx(prior_var, rel=1e-3)
 
     def test_variance_small_at_training_points(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(size=(7, 1))
         y = rng.standard_normal(7)
         s = fit(x, y, rng=14)
-        for xi in x:
-            assert posterior_variance(s, xi) <= 2.0 * s.params.nugget * s.norm.output_std**2
+        assert np.all(posterior_variance(s, x) <= 2.0 * s.params.nugget * s.norm.output_std**2)
 
     def test_matches_dense_oracle_on_random_instances(self):
         rng = np.random.default_rng(15)
@@ -288,8 +307,8 @@ class TestPosterior:
             for _ in range(5):
                 xq = rng.uniform(-2.0, 3.0, size=d)
                 om, ov = dense_posterior(s, xq)
-                assert posterior_mean(s, xq) == pytest.approx(om, rel=1e-10, abs=1e-12)
-                assert posterior_variance(s, xq) == pytest.approx(max(ov, 0.0), rel=1e-10, abs=1e-12)
+                assert posterior_mean(s, xq[None, :])[0] == pytest.approx(om, rel=1e-10, abs=1e-12)
+                assert posterior_variance(s, xq[None, :])[0] == pytest.approx(max(ov, 0.0), rel=1e-10, abs=1e-12)
 
     def test_variance_positive_everywhere(self):
         rng = np.random.default_rng(16)
@@ -318,10 +337,19 @@ class TestPosterior:
     def test_dimension_mismatch(self):
         s = fit([[0.0], [1.0]], [0.0, 1.0], rng=0)
         for query in (posterior_mean, posterior_variance):
-            with pytest.raises(ValueError, match="dimension 1, got 2"):
+            with pytest.raises(ValueError, match=r"shape \(n, 1\), got shape \(2,\)"):
                 query(s, [0.0, 1.0])
-            with pytest.raises(ValueError, match="dimension 1, got 2"):
+            with pytest.raises(ValueError, match=r"shape \(n, 1\), got shape \(2, 2\)"):
                 query(s, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_queries_take_batches_only(self):
+        # One point is a batch of one row; a bare point, a scalar or a stack of batches is refused.
+        s = fit([[0.0], [1.0]], [0.0, 1.0], rng=0)
+        for query in (posterior_mean, posterior_variance):
+            assert query(s, [[0.5]]).shape == (1,)
+            for bad in ([0.5], 0.5, [[[0.5]]]):
+                with pytest.raises(ValueError, match="expected a batch of shape"):
+                    query(s, bad)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(

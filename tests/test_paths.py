@@ -66,13 +66,14 @@ class TestEvalPath:
             vals = vals + kernel_matrix(s.params, Xn, s.X_norm) @ path.update_coeffs
             want = s.norm.output_mean + s.norm.output_std * vals
             assert np.array_equal(eval_path(path, Xq), want)
-        assert eval_path(path, Xq[0]) == want[0]
+        with pytest.raises(ValueError, match="expected a batch of shape"):
+            eval_path(path, Xq[0])  # a bare point is not a batch
 
     def test_purity(self):
         s, _, _ = make_surrogate()
         path = draw_path(s, 256, np.random.default_rng(5))
-        x = np.array([1.234])
-        assert eval_path(path, x) == eval_path(path, x)
+        x = np.array([[1.234]])
+        assert np.array_equal(eval_path(path, x), eval_path(path, x))
 
     def test_determinism_from_seed(self):
         s, _, _ = make_surrogate()
@@ -97,7 +98,7 @@ class TestEvalPath:
         # near-singular kernel matrix), so GEMM vs GEMV reduction order
         # shows up around 1e-12; anything structural would be far larger.
         batch = eval_path(path, xq)
-        single = np.array([eval_path(path, row) for row in xq])
+        single = np.array([eval_path(path, row[None, :])[0] for row in xq])
         np.testing.assert_allclose(batch, single, rtol=1e-10, atol=1e-10)
 
     def test_derivative_against_central_difference(self):
@@ -120,7 +121,7 @@ class TestEvalPath:
         rng = np.random.default_rng(9)
         h = 1e-6
         for x in rng.uniform(0.5, 5.5, size=5):
-            fd = (eval_path(path, [x + h]) - eval_path(path, [x - h])) / (2.0 * h)
+            fd = (eval_path(path, [[x + h]])[0] - eval_path(path, [[x - h]])[0]) / (2.0 * h)
             assert fd == pytest.approx(analytic_slope(x), rel=1e-5)
 
     def test_dimension_mismatch(self):
@@ -128,6 +129,8 @@ class TestEvalPath:
         path = draw_path(s, 64, np.random.default_rng(10))
         with pytest.raises(ValueError):
             eval_path(path, [0.0, 1.0])
+        with pytest.raises(ValueError):
+            eval_path(path, [[0.0, 1.0]])
 
 
 class TestPosteriorConsistency:

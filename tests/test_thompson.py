@@ -147,7 +147,7 @@ class TestMonotoneInformation:
             x = np.concatenate([entry.z_hat, entry.y_refine])
             refine_discipline(sset, entry.discipline, x, entry.y_true, cfg, rng)
             for s in sset.models[entry.discipline]:
-                assert posterior_variance(s, x) <= 2.0 * s.params.nugget * s.norm.output_std**2
+                assert posterior_variance(s, x[None, :])[0] <= 2.0 * s.params.nugget * s.norm.output_std**2
 
 
 class TestSolveRandomMdo:
