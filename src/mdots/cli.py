@@ -124,7 +124,7 @@ def _cmd_report(args, parser) -> int:
     write_summary_csv(summary, aggregate_path)
     print(f"traces={len(records)} aggregate={aggregate_path} skipped={skipped}")
     if skipped:
-        print(f"warning: skipped {skipped} malformed record file(s)", file=sys.stderr)
+        print(f"warning: skipped {skipped} malformed or unreadable record file(s)", file=sys.stderr)
     return 0
 
 

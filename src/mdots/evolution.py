@@ -145,7 +145,10 @@ def penalized_mdo_objective(evaluators, problem: MdoProblem, penalty: PenaltySpe
     midpoint. Converged, in-bounds solutions score the plain objective;
     converged out-of-bounds ones add ``base`` plus weighted relative
     violations; unconverged ones score ``base`` plus the objective at the
-    last iterate when that is finite. Anything non-finite becomes +inf.
+    last iterate when that is finite. Unconverged covers rows that hit the
+    sweep cap, rows the solver's stall exit retired earlier (both
+    ``MAX_ITERATIONS``, scored at the iterate they stopped at) and failed
+    rows. Anything non-finite becomes +inf.
 
     The returned callable takes a batch of design points ``(n, d_z)`` and
     returns ``(n,)``.

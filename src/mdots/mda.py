@@ -3,9 +3,11 @@
 Convergence is accelerated with dynamic (Aitken delta-squared) relaxation.
 The engine is batch-first: many design points share one sweep loop, each
 candidate carrying its own coupling state, relaxation factor and status.
-Non-convergence and evaluator failures are reported as data so callers can
-penalize instead of aborting. There is one result type, ``CouplingResult``,
-with one row per design point; a solve of a single point is a batch of one.
+A row whose residual has stopped falling is retired before the sweep cap
+(a stall exit) with the cap's status. Non-convergence and evaluator
+failures are reported as data so callers can penalize instead of aborting.
+There is one result type, ``CouplingResult``, with one row per design
+point; a solve of a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ RESIDUAL_FLOOR = 1e-12
 # Aitken relaxation: the factor every row starts from, and the interval it is clamped to.
 OMEGA_INIT = 0.5
 OMEGA_BOUNDS = (0.05, 2.0)
+# Stall exit: from sweep STALL_START on, a row whose best residual over its last
+# STALL_WINDOW sweeps is not below STALL_RATIO times its best before them stops.
+STALL_START = 40
+STALL_WINDOW = 20
+STALL_RATIO = 0.95
 
 
 class DisciplineFailure(RuntimeError):
@@ -105,6 +112,13 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
     when an evaluator returns a non-finite output (EVALUATOR_FAILURE, the
     last valid iterate is kept) or when the sweep budget runs out.
 
+    Stall exit: from sweep ``STALL_START`` on, a row that has not converged
+    leaves as MAX_ITERATIONS, at its current iterate and with ``iterations``
+    set to that sweep, once its smallest residual over the last
+    ``STALL_WINDOW`` sweeps is at least ``STALL_RATIO`` times its smallest
+    residual before them. Convergence is checked first, so a row that meets
+    the tolerance on that sweep counts as converged.
+
     Failures: a non-finite output row fails that row only, and is the only
     per-row failure channel. A ``DisciplineFailure`` raised by an evaluator
     fails every row still active in that call, with one failure note.
@@ -129,10 +143,14 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
     Z_act, y_act, res_act = Z[idx], y[idx], residual[idx]
     omega = np.full(n, OMEGA_INIT if cfg.aitken else 1.0)
     delta_prev = None  # every active row has one from sweep 2 on
+    # Stall exit state: a ring of the last STALL_WINDOW residuals (slot
+    # ``(sweep - 1) % STALL_WINDOW``) and the best residual before them.
+    recent = np.full((n, STALL_WINDOW), np.inf)
+    best_before = np.full(n, np.inf)
 
     def retire(gone, code, sweep):
         """Record the active rows ``gone`` as finished with ``code`` at their current iterate, and drop them."""
-        nonlocal idx, Z_act, y_act, y_new, res_act, omega, delta_prev
+        nonlocal idx, Z_act, y_act, y_new, res_act, omega, delta_prev, recent, best_before
         rows = idx[gone]
         status[rows] = int(code)
         iterations[rows] = sweep
@@ -140,6 +158,7 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
         residual[rows] = res_act[gone]
         keep = ~gone
         idx, Z_act, y_act, y_new, res_act, omega = idx[keep], Z_act[keep], y_act[keep], y_new[keep], res_act[keep], omega[keep]
+        recent, best_before = recent[keep], best_before[keep]
         if delta_prev is not None:
             delta_prev = delta_prev[keep]
 
@@ -173,10 +192,18 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
         y_act = y_act + applied
         res_act = (np.abs(applied) / np.maximum(np.abs(y_act), RESIDUAL_FLOOR)).max(axis=1)
         delta_prev = delta
+        slot = (sweep - 1) % STALL_WINDOW
+        if sweep > STALL_WINDOW:  # the residual of sweep ``sweep - STALL_WINDOW`` leaves the window
+            best_before = np.minimum(best_before, recent[:, slot])
+        recent[:, slot] = res_act
 
         done = res_act <= cfg.tolerance
         if done.any():
             retire(done, MdaStatus.CONVERGED, sweep)
+        if sweep >= STALL_START:
+            stalled = recent.min(axis=1) >= STALL_RATIO * best_before
+            if stalled.any():
+                retire(stalled, MdaStatus.MAX_ITERATIONS, sweep)
 
     y[idx] = y_act
     residual[idx] = res_act

@@ -111,14 +111,18 @@ def records_equal(a: RunRecord, b: RunRecord, ignore_timing: bool = True) -> boo
 
 
 def load_records_dir(directory: str):
-    """All readable records in a directory, sorted by replicate; plus skip count."""
+    """All readable records in a directory, sorted by replicate; plus skip count.
+
+    An entry that cannot be opened or read (a directory named like a record,
+    a file without read permission) is skipped and counted like a malformed one.
+    """
     paths = sorted(p for p in os.listdir(directory) if p.endswith(".ndjson"))
     records = []
     skipped = 0
     for p in paths:
         try:
             records.append(load_run_record(os.path.join(directory, p)))
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
+        except (OSError, ValueError, KeyError, TypeError):  # json.JSONDecodeError is a ValueError
             skipped += 1
     records.sort(key=lambda r: r.replicate)
     return records, skipped

@@ -177,6 +177,16 @@ class TestReportCommand:
         assert "skipped=1" in captured.out
         assert "skipped 1 malformed" in captured.err
 
+    def test_unreadable_entry_skipped_and_counted(self, tmp_path, capsys, quick_args):
+        out = str(tmp_path / "study")
+        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        (tmp_path / "study" / "run_9.ndjson").mkdir()  # named like a record, but opening it raises IsADirectoryError
+        capsys.readouterr()
+        assert run_cli(["report", out]) == 0
+        captured = capsys.readouterr()
+        assert "traces=1" in captured.out and "skipped=1" in captured.out
+        assert "skipped 1 malformed or unreadable" in captured.err
+
     def test_record_config_with_an_unknown_key_is_a_one_line_error(self, tmp_path, capsys, quick_args):
         # A record written by another version, e.g. one whose header still has a "gp" settings block.
         out = str(tmp_path / "runs")

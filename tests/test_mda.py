@@ -1,12 +1,17 @@
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from mdots import mda
 from mdots.mda import (
     OMEGA_BOUNDS,
     OMEGA_INIT,
+    STALL_RATIO,
+    STALL_START,
+    STALL_WINDOW,
     CouplingResult,
     DisciplineFailure,
     MdaConfig,
@@ -16,6 +21,7 @@ from mdots.mda import (
     solve_batch,
 )
 from mdots.problems import Discipline, sellar_problem, toy_problem
+from mdots.study import resolve_reference
 
 TIGHT = MdaConfig(tolerance=1e-10, max_iterations=200)
 
@@ -227,6 +233,73 @@ class TestConfig:
         # The relaxation start and clamp are module constants, not settings.
         assert [f.name for f in dataclasses.fields(MdaConfig)] == ["tolerance", "max_iterations", "aitken"]
         assert (OMEGA_INIT, OMEGA_BOUNDS) == (0.5, (0.05, 2.0))
+        assert (STALL_START, STALL_WINDOW, STALL_RATIO) == (40, 20, 0.95)
+
+
+PLAIN = MdaConfig(tolerance=1e-6, max_iterations=100, aitken=False)
+# Rows with z[0] > 0 iterate y <- -y + 2, which never contracts; the others y <- 0.97 y + 0.3, slowly but steadily.
+FLIP_OR_STEADY = Discipline(
+    "flip-or-steady", produces=[0], consumes=[0], fn=lambda Z, Y: np.where(Z[:, 0] > 0.0, -Y[:, 0] + 2.0, 0.97 * Y[:, 0] + 0.3)
+)
+
+
+class TestStallExit:
+    def test_non_contracting_row_retires_at_stall_start(self):
+        res = solve_batch([FLIP_OR_STEADY], np.array([[1.0]]), np.array([[0.5]]), PLAIN)
+        assert res.status[0] == MdaStatus.MAX_ITERATIONS
+        assert res.iterations[0] == STALL_START == 40
+        # the iterate flips 0.5 -> 1.5 -> 0.5 ..., so after an even number of sweeps it is back at 0.5
+        assert res.y[0, 0] == 0.5
+        assert res.residual[0] == 2.0
+
+    def test_steady_row_converges_at_the_same_sweep_as_without_the_exit(self, monkeypatch):
+        cfg = replace(PLAIN, max_iterations=1000)
+        res = solve_batch([FLIP_OR_STEADY], np.array([[0.0]]), np.array([[0.0]]), cfg)
+        monkeypatch.setattr(mda, "STALL_START", cfg.max_iterations + 1)
+        without = solve_batch([FLIP_OR_STEADY], np.array([[0.0]]), np.array([[0.0]]), cfg)
+        assert res.status[0] == without.status[0] == MdaStatus.CONVERGED
+        assert res.iterations[0] == without.iterations[0] == 340
+        np.testing.assert_array_equal(res.y, without.y)
+        np.testing.assert_array_equal(res.residual, without.residual)
+
+    def test_steady_row_in_a_mixed_batch_equals_its_solo_solve(self):
+        cfg = replace(PLAIN, max_iterations=1000)
+        Z, y0 = np.array([[1.0], [0.0], [1.0]]), np.array([[0.5], [0.0], [0.25]])
+        res = solve_batch([FLIP_OR_STEADY], Z, y0, cfg)
+        solo = solve_batch([FLIP_OR_STEADY], Z[1:2], y0[1:2], cfg)
+        capped, converged = int(MdaStatus.MAX_ITERATIONS), int(MdaStatus.CONVERGED)
+        np.testing.assert_array_equal(res.status, [capped, converged, capped])
+        np.testing.assert_array_equal(res.iterations[[0, 2]], [STALL_START, STALL_START])
+        assert res.iterations[1] == solo.iterations[0]
+        np.testing.assert_array_equal(res.y[1], solo.y[0])
+        assert res.residual[1] == solo.residual[0]
+
+    def test_tolerance_met_on_the_stall_sweep_counts_as_converged(self):
+        # Both rows flip between 1 and 2 and so stall; on sweep STALL_START the row with
+        # z[0] > 0 repeats its last output, a zero update that meets the tolerance.
+        sweeps = []
+
+        def flip_then_settle(Z, Y):
+            sweeps.append(Z.shape[0])
+            flipped = np.where(Y[:, 0] == 1.0, 2.0, 1.0)
+            return np.where((Z[:, 0] > 0.0) & (len(sweeps) == STALL_START), Y[:, 0], flipped)
+
+        disc = Discipline("flip", produces=[0], consumes=[0], fn=flip_then_settle)
+        res = solve_batch([disc], np.array([[1.0], [0.0]]), np.ones((2, 1)), PLAIN)
+        assert len(sweeps) == STALL_START
+        np.testing.assert_array_equal(res.status, [int(MdaStatus.CONVERGED), int(MdaStatus.MAX_ITERATIONS)])
+        np.testing.assert_array_equal(res.iterations, [STALL_START, STALL_START])
+        assert res.residual[0] == 0.0
+
+
+@pytest.mark.parametrize("make", [toy_problem, sellar_problem])
+def test_stall_exit_leaves_reference_resolves_unchanged(make, monkeypatch):
+    # Compares two runs on the same machine, not frozen digits, so it holds on any CPU.
+    with_exit = resolve_reference(make(), recompute=True)
+    monkeypatch.setattr(mda, "STALL_START", MdaConfig.reference(1e-10).max_iterations + 1)
+    without_exit = resolve_reference(make(), recompute=True)
+    np.testing.assert_array_equal(with_exit.z, without_exit.z)
+    assert with_exit.objective == without_exit.objective
 
 
 def reference_aitken_update(omega, delta_prev, delta_curr, bounds):
