@@ -10,6 +10,7 @@ coupling-bound violations turn into additive penalties rather than errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,19 @@ __all__ = ["DeConfig", "PenaltySpec", "DeResult", "de_minimize", "penalized_mdo_
 
 @dataclass(frozen=True)
 class DeConfig:
-    """Differential evolution settings; ``population=None`` means max(15*d, 30)."""
+    """Differential evolution settings; ``population=None`` means max(15*d, 30).
+
+    The defaults suit a Thompson proposal, which the next true evaluation
+    only needs to a few digits: stop once the best value has gained less
+    than an absolute ``tol`` over ``window`` generations.
+    """
 
     population: int | None = None
     mutation: float = 0.7
     crossover: float = 0.9
     max_generations: int = 300
-    window: int = 40
-    tol: float = 1e-8
+    window: int = 20
+    tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -41,6 +47,13 @@ class DeConfig:
             raise ValueError("crossover rate must be in [0, 1]")
         if self.max_generations < 1 or self.window < 1:
             raise ValueError("max_generations and window must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("DE tolerance must be finite and positive")
+
+    @classmethod
+    def reference(cls) -> "DeConfig":
+        """Settings of a reference solve of the true problem: longer and tighter than a proposal's."""
+        return cls(max_generations=400, window=40, tol=1e-8, seed=0)
 
 
 @dataclass(frozen=True)
@@ -53,7 +66,7 @@ class PenaltySpec:
     def __post_init__(self):
         if not self.base > 0.0:
             raise ValueError("base penalty must be positive")
-        if self.bound_weight < 0.0:
+        if not self.bound_weight >= 0.0:
             raise ValueError("bound weight must be non-negative")
 
 

@@ -144,8 +144,7 @@ def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: f
         return problem.reference
     evaluators = [d.fn for d in problem.disciplines]
     objective = penalized_mdo_objective(evaluators, problem, PenaltySpec(), MdaConfig.reference(tolerance))
-    de_cfg = DeConfig(max_generations=400, seed=0)
-    result = de_minimize(objective, problem.z_bounds, de_cfg)
+    result = de_minimize(objective, problem.z_bounds, DeConfig.reference())
     f_true, _ = problem.true_objective(result.z, tolerance=tolerance)
     return ReferenceSolution(z=result.z, objective=float(f_true))
 

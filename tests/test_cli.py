@@ -54,6 +54,20 @@ class TestRunCommand:
             run_cli(["run", "--problem", "toy", "--n-doe", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("setting", [{"de_tol": float("nan")}, {"penalty_bound_weight": float("nan")}])
+    def test_nan_setting_in_config_file_is_one_error_line(self, tmp_path, capsys, setting):
+        # json.dumps writes NaN, which json.load reads back as a float.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 4, "n_iter": 0, **setting}))
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(cfg_file), "--out", str(out)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "tolerance" in errors[0] or "bound weight" in errors[0]
+        assert not out.exists()
+
 
 class TestStudyCommand:
     def test_study_writes_summary(self, tmp_path, capsys, quick_args):

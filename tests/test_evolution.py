@@ -4,6 +4,7 @@ import pytest
 from mdots.evolution import DeConfig, DeResult, PenaltySpec, _reflect, _scores, de_minimize, penalized_mdo_objective
 from mdots.mda import MdaConfig
 from mdots.problems import Discipline, MdoProblem, lhs, sellar_problem, toy_problem
+from mdots.study import resolve_reference
 
 SURROGATE_MDA = MdaConfig(tolerance=1e-2, max_iterations=100)
 TIGHT_MDA = MdaConfig(tolerance=1e-10, max_iterations=300)
@@ -161,6 +162,51 @@ class TestDeMinimize:
         with pytest.raises(ValueError):
             DeConfig(crossover=1.5)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_tolerance_that_disables_the_plateau_test_rejected(self, tol):
+        # A NaN tolerance would make every plateau comparison false and run to max_generations.
+        with pytest.raises(ValueError, match="tolerance"):
+            DeConfig(tol=tol)
+
+
+class TestStopRule:
+    def test_default_and_reference_settings(self):
+        assert DeConfig() == DeConfig(
+            population=None, mutation=0.7, crossover=0.9, max_generations=300, window=20, tol=1e-6, seed=0
+        )
+        assert DeConfig.reference() == DeConfig(
+            population=None, mutation=0.7, crossover=0.9, max_generations=400, window=40, tol=1e-8, seed=0
+        )
+
+    def test_plateau_stops_at_the_default_window(self):
+        result = de_minimize(lambda Z: np.full(len(Z), 7.0), [[-1.0, 3.0]] * 2, DeConfig(seed=2))
+        assert result.generations == DeConfig().window == 20
+        assert len(result.history) == 21
+
+    def test_default_rule_is_absolute_so_argmin_ignores_a_shift(self):
+        # A tolerance scaled by the best value would stop the shifted run earlier, at another point.
+        bounds = [[-5.0, 5.0]] * 3
+        plain = de_minimize(sphere, bounds, DeConfig(seed=13))
+        shifted = de_minimize(lambda z: sphere(z) + 42.0, bounds, DeConfig(seed=13))
+        assert plain.generations < DeConfig().max_generations  # stopped by the plateau test
+        np.testing.assert_array_equal(plain.z, shifted.z)
+        assert plain.generations == shifted.generations
+
+
+@pytest.mark.parametrize("make", [toy_problem, sellar_problem])
+def test_reference_resolve_keeps_its_own_de_settings(make):
+    # The reference solve must not follow the proposal defaults: 400 generations, 40 at 1e-8, seed 0.
+    problem = make()
+    got = resolve_reference(problem, recompute=True)
+    objective = penalized_mdo_objective(
+        [d.fn for d in problem.disciplines], problem, PenaltySpec(), MdaConfig.reference(1e-10)
+    )
+    tight = DeConfig(max_generations=400, window=40, tol=1e-8, seed=0)
+    want = de_minimize(objective, problem.z_bounds, tight)
+    f_true, _ = problem.true_objective(want.z, tolerance=1e-10)
+    np.testing.assert_array_equal(got.z, want.z)
+    assert got.objective == float(f_true)
+
 
 class TestPenalizedObjective:
     def test_true_sellar_at_reference_has_no_penalty(self):
@@ -247,6 +293,10 @@ class TestPenalizedObjective:
         assert batch.shape == (3,)
         singles = np.concatenate([objective(z[None, :]) for z in Z])
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+    def test_nan_bound_weight_rejected(self):
+        with pytest.raises(ValueError, match="bound weight"):
+            PenaltySpec(bound_weight=float("nan"))
 
     def test_evaluator_count_checked(self):
         problem = toy_problem()

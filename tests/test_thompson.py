@@ -101,6 +101,9 @@ class TestRunBudget:
             {"mda_max_iterations": 0},
             {"penalty_base": 0.0},
             {"penalty_bound_weight": -1.0},
+            {"penalty_bound_weight": float("nan")},
+            {"de_tol": float("nan")},
+            {"de_tol": -1.0},
         ],
     )
     def test_layer_settings_rejected_when_the_config_is_built(self, bad):
