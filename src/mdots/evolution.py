@@ -18,7 +18,7 @@ import numpy as np
 from .mda import MdaConfig, MdaStatus, solve_batch
 from .problems import MdoProblem, lhs
 
-__all__ = ["DeConfig", "PenaltySpec", "DeResult", "de_minimize", "penalized_mdo_objective"]
+__all__ = ["DeConfig", "DeResult", "de_minimize", "penalized_mdo_objective"]
 
 
 @dataclass(frozen=True)
@@ -56,20 +56,6 @@ class DeConfig:
         return cls(max_generations=400, window=40, tol=1e-8, seed=0)
 
 
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Additive penalty for unconverged solves and coupling-bound violations."""
-
-    base: float = 1000.0
-    bound_weight: float = 100.0
-
-    def __post_init__(self):
-        if not self.base > 0.0:
-            raise ValueError("base penalty must be positive")
-        if not self.bound_weight >= 0.0:
-            raise ValueError("bound weight must be non-negative")
-
-
 @dataclass
 class DeResult:
     z: np.ndarray
@@ -81,7 +67,6 @@ class DeResult:
 
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # Fold back at the faces; repeat for large excursions, clip as a last resort.
-    # Element-wise, so one point (d,) or a population (n, d) gives the same values.
     for _ in range(8):
         below, above = x < lo, x > hi
         if not (below.any() or above.any()):
@@ -151,17 +136,23 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
     )
 
 
-def penalized_mdo_objective(evaluators, problem: MdoProblem, penalty: PenaltySpec, mda_cfg: MdaConfig):
+# The additive penalties of penalized_mdo_objective.
+PENALTY_BASE = 1000.0
+BOUND_WEIGHT = 100.0
+
+
+def penalized_mdo_objective(evaluators, problem: MdoProblem, mda_cfg: MdaConfig):
     """Wrap per-discipline evaluators into a design-space objective.
 
     For each candidate the coupled system is solved from the coupling-box
     midpoint. Converged, in-bounds solutions score the plain objective;
-    converged out-of-bounds ones add ``base`` plus weighted relative
-    violations; unconverged ones score ``base`` plus the objective at the
-    last iterate when that is finite. Unconverged covers rows that hit the
-    sweep cap, rows the solver's stall exit retired earlier (both
-    ``MAX_ITERATIONS``, scored at the iterate they stopped at) and failed
-    rows. Anything non-finite becomes +inf.
+    converged out-of-bounds ones add ``PENALTY_BASE`` plus ``BOUND_WEIGHT``
+    times their summed relative violation; unconverged ones score
+    ``PENALTY_BASE`` plus the objective at the last iterate when that is
+    finite. Unconverged covers rows that hit the sweep cap, rows the
+    solver's stall exit retired earlier (both ``MAX_ITERATIONS``, scored at
+    the iterate they stopped at) and failed rows. Anything non-finite
+    becomes +inf.
 
     The returned callable takes a batch of design points ``(n, d_z)`` and
     returns ``(n,)``.
@@ -185,7 +176,7 @@ def penalized_mdo_objective(evaluators, problem: MdoProblem, penalty: PenaltySpe
         value = np.where(
             converged & in_bounds,
             f,
-            np.where(converged, f + penalty.base + penalty.bound_weight * viol, penalty.base + f_fallback),
+            np.where(converged, f + PENALTY_BASE + BOUND_WEIGHT * viol, PENALTY_BASE + f_fallback),
         )
         return np.where(np.isfinite(value), value, np.inf)
 

@@ -186,20 +186,17 @@ def _chol_with_escalation(params: KernelParams, X_norm: np.ndarray):
             nugget = min(nugget * 10.0, NUGGET_CEILING)
 
 
-def _theta_to_params(theta: np.ndarray, dim: int, isotropic: bool, nugget: float) -> KernelParams:
-    scales = np.exp(theta[:-1])
-    if isotropic:
-        scales = np.full(dim, scales[0])
-    return KernelParams(scales, float(np.exp(theta[-1])), nugget)
+def _theta_to_params(theta: np.ndarray, nugget: float) -> KernelParams:
+    return KernelParams(np.exp(theta[:-1]), float(np.exp(theta[-1])), nugget)
 
 
-def _neg_lml_and_grad(theta, X_norm, y_std, dim, isotropic, nugget):
+def _neg_lml_and_grad(theta, X_norm, y_std, nugget):
     """Negative log marginal likelihood and its gradient in log-parameter space.
 
     Analytic gradients keep the quasi-Newton search stable on the flat
     ridges this likelihood develops for smooth data.
     """
-    params = _theta_to_params(theta, dim, isotropic, nugget)
+    params = _theta_to_params(theta, nugget)
     n = y_std.size
     diff = X_norm[:, None, :] - X_norm[None, :, :]
     scaled_sq = (diff / params.length_scales) ** 2
@@ -214,8 +211,7 @@ def _neg_lml_and_grad(theta, X_norm, y_std, dim, isotropic, nugget):
     # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
     W = np.outer(alpha, alpha) - _solve_chol(L, np.eye(n))
     grad_log_sv = 0.5 * np.sum(W * K_nl)
-    per_dim = 0.5 * np.einsum("ij,ij,ijd->d", W, K_nl, scaled_sq)
-    grad_scales = np.array([per_dim.sum()]) if isotropic else per_dim
+    grad_scales = 0.5 * np.einsum("ij,ij,ijd->d", W, K_nl, scaled_sq)
     grad = np.concatenate([grad_scales, [grad_log_sv]])
     return -float(lml), -grad
 
@@ -227,7 +223,6 @@ def fit(
     nugget: float = DEFAULT_NUGGET,
     restarts: int = DEFAULT_RESTARTS,
     rng=None,
-    isotropic: bool = False,
     warm_start: KernelParams | None = None,
 ) -> TrainedSurrogate:
     """Fit hyperparameters by maximizing the log marginal likelihood.
@@ -253,14 +248,12 @@ def fit(
     X_norm, y = X_norm[keep], y[keep]
     y_std = (y - norm.output_mean) / norm.output_std
 
-    dim = X.shape[1]
-    n_theta = (1 if isotropic else dim) + 1
+    n_theta = X.shape[1] + 1
     lo, hi = np.log(HYPER_BOUNDS[0]), np.log(HYPER_BOUNDS[1])
 
     starts = []
     if warm_start is not None:
-        ls = warm_start.length_scales[:1] if isotropic else warm_start.length_scales
-        starts.append(np.clip(np.log(np.append(ls, warm_start.signal_variance)), lo, hi))
+        starts.append(np.clip(np.log(np.append(warm_start.length_scales, warm_start.signal_variance)), lo, hi))
     starts.append(np.zeros(n_theta))
     starts.extend(rng.uniform(lo, hi, size=n_theta) for _ in range(restarts))
 
@@ -271,7 +264,7 @@ def fit(
         res = optimize.minimize(
             _neg_lml_and_grad,
             theta0,
-            args=(X_norm, y_std, dim, isotropic, nugget),
+            args=(X_norm, y_std, nugget),
             method="L-BFGS-B",
             jac=True,
             bounds=[(lo, hi)] * n_theta,
@@ -280,7 +273,7 @@ def fit(
         if res.fun < best_val:
             best_theta, best_val = res.x, res.fun
 
-    params = _theta_to_params(best_theta, dim, isotropic, nugget)
+    params = _theta_to_params(best_theta, nugget)
     L, params = _chol_with_escalation(params, X_norm)
     alpha = _solve_chol(L, y_std)
     for arr in (L, alpha, X_norm, y_std):

@@ -13,6 +13,7 @@ point; a solve of a single point is a batch of one.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,8 @@ class MdaConfig:
     aitken: bool = True
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

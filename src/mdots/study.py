@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import DeConfig, PenaltySpec, de_minimize, penalized_mdo_objective
+from .evolution import DeConfig, de_minimize, penalized_mdo_objective
 from .external import load_external_problem
 from .mda import MdaConfig
 from .problems import MdoProblem, ReferenceSolution, sellar_problem, toy_problem
@@ -143,7 +143,7 @@ def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: f
     if problem.reference is not None and not recompute:
         return problem.reference
     evaluators = [d.fn for d in problem.disciplines]
-    objective = penalized_mdo_objective(evaluators, problem, PenaltySpec(), MdaConfig.reference(tolerance))
+    objective = penalized_mdo_objective(evaluators, problem, MdaConfig.reference(tolerance))
     result = de_minimize(objective, problem.z_bounds, DeConfig.reference())
     f_true, _ = problem.true_objective(result.z, tolerance=tolerance)
     return ReferenceSolution(z=result.z, objective=float(f_true))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .evolution import DeConfig, PenaltySpec, de_minimize, penalized_mdo_objective
+from .evolution import BOUND_WEIGHT, PENALTY_BASE, DeConfig, de_minimize, penalized_mdo_objective
 from .gp import DEFAULT_NUGGET, DEFAULT_RESTARTS, TrainedSurrogate, fit, posterior_mean
 from .mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
 from .paths import DEFAULT_FEATURES, draw_path, eval_path
@@ -45,6 +45,21 @@ SCHEMA_VERSION = 1
 CONVERGENCE_THRESHOLD = 0.01
 PATH_SEED_OFFSET = 1_000_000
 DE_SEED_OFFSET = 2_000_000
+# Sweep cap of every coupled solve of surrogate or path systems.
+MDA_MAX_ITERATIONS = 100
+
+# Former settings and the constant each became. Record headers written while they
+# were settings hold them; ``from_dict`` accepts one only at its constant.
+RETIRED_SETTINGS = {
+    "mda_max_iterations": MDA_MAX_ITERATIONS,
+    "gp_nugget": DEFAULT_NUGGET,
+    "gp_isotropic": False,
+    "de_population": DeConfig.population,
+    "de_mutation": DeConfig.mutation,
+    "de_crossover": DeConfig.crossover,
+    "penalty_base": PENALTY_BASE,
+    "penalty_bound_weight": BOUND_WEIGHT,
+}
 
 
 @dataclass(frozen=True)
@@ -63,21 +78,13 @@ class ExperimentConfig:
     seed: int = 0
     n_features: int = DEFAULT_FEATURES
     mda_tol: float = 1e-2
-    mda_max_iterations: int = 100
     reference_tol: float = 1e-10
     out: str = "runs"
     workers: int | None = None
-    gp_nugget: float = DEFAULT_NUGGET
     gp_restarts: int = DEFAULT_RESTARTS
-    gp_isotropic: bool = False
-    de_population: int | None = DeConfig.population
-    de_mutation: float = DeConfig.mutation
-    de_crossover: float = DeConfig.crossover
     de_max_generations: int = DeConfig.max_generations
     de_window: int = DeConfig.window
     de_tol: float = DeConfig.tol
-    penalty_base: float = PenaltySpec.base
-    penalty_bound_weight: float = PenaltySpec.bound_weight
     recompute_reference: bool = False
 
     def __post_init__(self):
@@ -87,36 +94,41 @@ class ExperimentConfig:
             raise ValueError("n_doe must be at least 2")
         if self.n_iter < 0:
             raise ValueError("n_iter must be non-negative")
+        if self.n_features < 1:
+            raise ValueError("n_features must be at least 1")
+        if self.gp_restarts < 0:
+            raise ValueError("gp_restarts must be non-negative")
         # The layer configs validate their own fields; build them now so a bad value fails here.
         self.de_config(0)
         self.mda_config()
-        self.penalty_spec()
+        MdaConfig.reference(self.reference_tol)
 
     @classmethod
     def from_dict(cls, settings: dict) -> "ExperimentConfig":
-        """The config a record's header holds; a setting this version does not know is a ValueError."""
+        """The config a record's header holds; a setting this version does not know is a ValueError.
+
+        A retired setting (``RETIRED_SETTINGS``) is dropped when it holds the
+        constant now in use; any other value is a ValueError naming it,
+        because that run cannot be reproduced.
+        """
+        settings = dict(settings)
+        for name, constant in RETIRED_SETTINGS.items():
+            value = settings.pop(name, constant)
+            if value != constant:
+                raise ValueError(
+                    f"record config sets retired setting {name!r} to {value!r}; this version fixes it at {constant!r}"
+                )
         unknown = sorted(set(settings) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"record config has unknown setting(s): {', '.join(map(repr, unknown))}")
         return cls(**settings)
 
     def de_config(self, seed: int) -> DeConfig:
-        return DeConfig(
-            population=self.de_population,
-            mutation=self.de_mutation,
-            crossover=self.de_crossover,
-            max_generations=self.de_max_generations,
-            window=self.de_window,
-            tol=self.de_tol,
-            seed=seed,
-        )
+        return DeConfig(max_generations=self.de_max_generations, window=self.de_window, tol=self.de_tol, seed=seed)
 
     def mda_config(self) -> MdaConfig:
         """Coupled-solve settings for surrogate and path systems."""
-        return MdaConfig(tolerance=self.mda_tol, max_iterations=self.mda_max_iterations)
-
-    def penalty_spec(self) -> PenaltySpec:
-        return PenaltySpec(base=self.penalty_base, bound_weight=self.penalty_bound_weight)
+        return MdaConfig(tolerance=self.mda_tol, max_iterations=MDA_MAX_ITERATIONS)
 
 
 @dataclass(frozen=True)
@@ -146,10 +158,8 @@ def _fit_outputs(ts: TrainingSet, cfg: ExperimentConfig, rng, warm: list[Trained
         fit(
             ts.inputs,
             ts.targets[:, j],
-            nugget=cfg.gp_nugget,
             restarts=cfg.gp_restarts,
             rng=rng,
-            isotropic=cfg.gp_isotropic,
             warm_start=None if warm is None else warm[j].params,
         )
         for j in range(ts.targets.shape[1])
@@ -201,22 +211,22 @@ def mean_evaluators(sset: SurrogateSet):
     return [_stacked(posterior_mean, models) for models in sset.models]
 
 
-def solve_random_mdo(evaluators, problem: MdoProblem, penalty: PenaltySpec, de_cfg: DeConfig, mda_cfg: MdaConfig):
+def solve_random_mdo(evaluators, problem: MdoProblem, de_cfg: DeConfig, mda_cfg: MdaConfig):
     """Minimize the penalized objective of one set of drawn evaluators.
 
     Returns the winning design point, the ``CouplingResult`` of one re-solve
     at that point (a batch of one; last iterate when unconverged) and the
     penalized value.
     """
-    objective = penalized_mdo_objective(evaluators, problem, penalty, mda_cfg)
+    objective = penalized_mdo_objective(evaluators, problem, mda_cfg)
     result = de_minimize(objective, problem.z_bounds, de_cfg)
     state = gauss_seidel_solve(problem.bind(evaluators), result.z, problem.y_midpoint(), mda_cfg)
     return result.z, state, result.value
 
 
-def solve_surrogate_mdo(sset: SurrogateSet, problem: MdoProblem, penalty: PenaltySpec, de_cfg: DeConfig, mda_cfg: MdaConfig):
+def solve_surrogate_mdo(sset: SurrogateSet, problem: MdoProblem, de_cfg: DeConfig, mda_cfg: MdaConfig):
     """Minimize the penalized objective of the posterior-mean system."""
-    objective = penalized_mdo_objective(mean_evaluators(sset), problem, penalty, mda_cfg)
+    objective = penalized_mdo_objective(mean_evaluators(sset), problem, mda_cfg)
     result = de_minimize(objective, problem.z_bounds, de_cfg)
     return result.z, result.value
 
@@ -276,7 +286,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
     problem's id, so the run can be re-launched from the file alone.
     """
     seeds = replicate_seeds(cfg.seed, replicate)
-    penalty, mda_cfg = cfg.penalty_spec(), cfg.mda_config()
+    mda_cfg = cfg.mda_config()
     t0 = time.perf_counter()
     doe_rng = np.random.default_rng(seeds.doe)
     path_rng = np.random.default_rng(seeds.paths)
@@ -293,7 +303,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
             evaluators = path_evaluators(sset, cfg.n_features, path_rng)
             de_cfg = cfg.de_config(seeds.de + solve_index)
             solve_index += 1
-            z_hat, state, value = solve_random_mdo(evaluators, problem, penalty, de_cfg, mda_cfg)
+            z_hat, state, value = solve_random_mdo(evaluators, problem, de_cfg, mda_cfg)
             y_hat, status = state.y[0], MdaStatus(int(state.status[0]))
 
             cons = problem.disciplines[m].consumes
@@ -338,7 +348,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
     t_loop = time.perf_counter()
 
     de_cfg = cfg.de_config(seeds.de + solve_index)
-    z_star, value_star = solve_surrogate_mdo(sset, problem, penalty, de_cfg, mda_cfg)
+    z_star, value_star = solve_surrogate_mdo(sset, problem, de_cfg, mda_cfg)
     t_final = time.perf_counter()
 
     return RunRecord(

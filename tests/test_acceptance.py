@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mdots.evolution import DeConfig, PenaltySpec, de_minimize, penalized_mdo_objective
+from mdots.evolution import DeConfig, de_minimize, penalized_mdo_objective
 from mdots.gp import fit, posterior_mean, posterior_variance
 from mdots.mda import MdaConfig, MdaStatus, gauss_seidel_solve
 from mdots.paths import draw_path, eval_path
@@ -204,14 +204,13 @@ def test_criterion_8_penalty_behavior():
             objective=lambda Z, Y: Z[:, 0] ** 2,
         )
         forced = penalized_mdo_objective(
-            [problem.disciplines[0].fn], problem, PenaltySpec(),
-            MdaConfig(tolerance=1e-10, max_iterations=25, aitken=False),
+            [problem.disciplines[0].fn], problem, MdaConfig(tolerance=1e-10, max_iterations=25, aitken=False)
         )
         assert forced(np.array([[0.4]]))[0] >= 1000.0
 
         sellar = sellar_problem()
         objective = penalized_mdo_objective(
-            [d.fn for d in sellar.disciplines], sellar, PenaltySpec(), MdaConfig(tolerance=1e-2, max_iterations=100)
+            [d.fn for d in sellar.disciplines], sellar, MdaConfig(tolerance=1e-2, max_iterations=100)
         )
         result = de_minimize(objective, sellar.z_bounds, DeConfig(seed=14))
         (recomputed,) = objective(result.z[None, :])

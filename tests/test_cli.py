@@ -54,7 +54,7 @@ class TestRunCommand:
             run_cli(["run", "--problem", "toy", "--n-doe", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("setting", [{"de_tol": float("nan")}, {"penalty_bound_weight": float("nan")}])
+    @pytest.mark.parametrize("setting", [{"de_tol": float("nan")}, {"reference_tol": float("nan")}])
     def test_nan_setting_in_config_file_is_one_error_line(self, tmp_path, capsys, setting):
         # json.dumps writes NaN, which json.load reads back as a float.
         cfg_file = tmp_path / "cfg.json"
@@ -65,8 +65,16 @@ class TestRunCommand:
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1
-        assert "tolerance" in errors[0] or "bound weight" in errors[0]
+        assert "tolerance" in errors[0]
         assert not out.exists()
+
+    def test_retired_setting_in_config_file_is_unknown(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"problem": "toy", "gp_isotropic": False}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        assert "unknown setting 'gp_isotropic'" in capsys.readouterr().err
 
 
 class TestStudyCommand:
@@ -101,12 +109,34 @@ class TestStudyCommand:
 
     def test_invalid_layer_setting_rejected_before_any_run(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"problem": "toy", "de_mutation": 5.0}))
+        cfg_file.write_text(json.dumps({"problem": "toy", "de_window": 0}))
         out = tmp_path / "study"
         with pytest.raises(SystemExit) as exc:
             run_cli(["study", "--config", str(cfg_file), "--repeat", "2", "--workers", "1", "--out", str(out)])
         assert exc.value.code == 2
-        assert "mutation factor" in capsys.readouterr().err
+        assert "window must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_reference_tol_rejected_before_any_run(self, tmp_path, capsys):
+        # The reference tolerance is first used after every replicate has run.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 3, "n_iter": 1, "reference_tol": -1}))
+        out = tmp_path / "study"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["study", "--config", str(cfg_file), "--repeat", "1", "--workers", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "tolerance" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_zero_features_rejected_before_any_run(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--problem", "toy", "--n-doe", "3", "--n-iter", "1", "--features", "0", "--workers", "1"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "n_features" in capsys.readouterr().err
         assert not out.exists()
 
 

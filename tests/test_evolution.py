@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdots.evolution import DeConfig, DeResult, PenaltySpec, _reflect, _scores, de_minimize, penalized_mdo_objective
+from mdots.evolution import BOUND_WEIGHT, PENALTY_BASE, DeConfig, DeResult, _reflect, _scores, de_minimize, penalized_mdo_objective
 from mdots.mda import MdaConfig
 from mdots.problems import Discipline, MdoProblem, lhs, sellar_problem, toy_problem
 from mdots.study import resolve_reference
@@ -199,7 +199,7 @@ def test_reference_resolve_keeps_its_own_de_settings(make):
     problem = make()
     got = resolve_reference(problem, recompute=True)
     objective = penalized_mdo_objective(
-        [d.fn for d in problem.disciplines], problem, PenaltySpec(), MdaConfig.reference(1e-10)
+        [d.fn for d in problem.disciplines], problem, MdaConfig.reference(1e-10)
     )
     tight = DeConfig(max_generations=400, window=40, tol=1e-8, seed=0)
     want = de_minimize(objective, problem.z_bounds, tight)
@@ -212,7 +212,7 @@ class TestPenalizedObjective:
     def test_true_sellar_at_reference_has_no_penalty(self):
         problem = sellar_problem()
         objective = penalized_mdo_objective(
-            [d.fn for d in problem.disciplines], problem, PenaltySpec(), TIGHT_MDA
+            [d.fn for d in problem.disciplines], problem, TIGHT_MDA
         )
         (value,) = objective(np.array([[0.0, 2.6345, 0.0]]))
         assert value == pytest.approx(-2.8085, abs=1e-3)
@@ -228,7 +228,7 @@ class TestPenalizedObjective:
             objective=lambda Z, Y: Z[:, 0] ** 2,
         )
         objective = penalized_mdo_objective(
-            [problem.disciplines[0].fn], problem, PenaltySpec(), MdaConfig(tolerance=1e-10, max_iterations=20, aitken=False)
+            [problem.disciplines[0].fn], problem, MdaConfig(tolerance=1e-10, max_iterations=20, aitken=False)
         )
         assert objective(np.array([[0.5]]))[0] >= 1000.0
 
@@ -243,7 +243,7 @@ class TestPenalizedObjective:
             objective=lambda Z, Y: np.full(Z.shape[0], -0.5285),
         )
         objective = penalized_mdo_objective(
-            [problem.disciplines[0].fn], problem, PenaltySpec(), MdaConfig(tolerance=1e-10, max_iterations=15, aitken=False)
+            [problem.disciplines[0].fn], problem, MdaConfig(tolerance=1e-10, max_iterations=15, aitken=False)
         )
         assert objective(np.array([[0.0]]))[0] == pytest.approx(1000.0 - 0.5285, abs=1e-9)
 
@@ -256,15 +256,15 @@ class TestPenalizedObjective:
             disciplines=(Discipline("d", produces=[0], consumes=[0], fn=lambda Z, Y: 0.5 * Y[:, 0] + 2.5),),
             objective=lambda Z, Y: Z[:, 0],
         )
-        spec = PenaltySpec(base=1000.0, bound_weight=100.0)
-        objective = penalized_mdo_objective([problem.disciplines[0].fn], problem, spec, TIGHT_MDA)
+        objective = penalized_mdo_objective([problem.disciplines[0].fn], problem, TIGHT_MDA)
         (value,) = objective(np.array([[0.25]]))
         # f + base + weight * (5 - 2) / (2 - 0)
-        assert value == pytest.approx(0.25 + 1000.0 + 100.0 * 1.5, abs=1e-6)
+        assert (PENALTY_BASE, BOUND_WEIGHT) == (1000.0, 100.0)
+        assert value == pytest.approx(0.25 + PENALTY_BASE + BOUND_WEIGHT * 1.5, abs=1e-6)
 
     def test_penalized_values_separate_from_plain_values(self):
         problem = toy_problem()
-        objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, PenaltySpec(), TIGHT_MDA)
+        objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, TIGHT_MDA)
         rng = np.random.default_rng(9)
         Z = rng.uniform(-5.0, 5.0, size=(40, 1))
         values = objective(Z)
@@ -277,7 +277,7 @@ class TestPenalizedObjective:
     def test_feasible_optimum_carries_no_penalty_on_recomputation(self):
         problem = sellar_problem()
         objective = penalized_mdo_objective(
-            [d.fn for d in problem.disciplines], problem, PenaltySpec(), SURROGATE_MDA
+            [d.fn for d in problem.disciplines], problem, SURROGATE_MDA
         )
         cfg = DeConfig(population=20, max_generations=60, seed=10)
         result = de_minimize(objective, problem.z_bounds, cfg)
@@ -287,18 +287,14 @@ class TestPenalizedObjective:
     def test_batch_and_scalar_agree(self):
         # Each candidate scored alone, as a batch of one, matches its row of the batch.
         problem = toy_problem()
-        objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, PenaltySpec(), TIGHT_MDA)
+        objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, TIGHT_MDA)
         Z = np.array([[-3.0], [0.0], [4.0]])
         batch = objective(Z)
         assert batch.shape == (3,)
         singles = np.concatenate([objective(z[None, :]) for z in Z])
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
-    def test_nan_bound_weight_rejected(self):
-        with pytest.raises(ValueError, match="bound weight"):
-            PenaltySpec(bound_weight=float("nan"))
-
     def test_evaluator_count_checked(self):
         problem = toy_problem()
         with pytest.raises(ValueError):
-            penalized_mdo_objective([problem.disciplines[0].fn], problem, PenaltySpec(), TIGHT_MDA)
+            penalized_mdo_objective([problem.disciplines[0].fn], problem, TIGHT_MDA)

@@ -77,7 +77,7 @@ class TestKernel:
 def lml_at(params: KernelParams, X_norm, y_std) -> float:
     """The likelihood ``fit`` maximizes, at ``params``: minus ``_neg_lml_and_grad`` at their logarithms."""
     theta = np.log(np.append(params.length_scales, params.signal_variance))
-    neg, _ = _neg_lml_and_grad(theta, np.asarray(X_norm, float), np.asarray(y_std, float), params.dim, False, params.nugget)
+    neg, _ = _neg_lml_and_grad(theta, np.asarray(X_norm, float), np.asarray(y_std, float), params.nugget)
     return -neg
 
 
@@ -187,13 +187,6 @@ class TestFit:
         xq = rng.uniform(size=(6, 1))
         np.testing.assert_allclose(posterior_mean(s1, xq), posterior_mean(s0, xq) * 3.7 - 2.2, rtol=1e-4)
 
-    def test_isotropic_shares_length_scale(self):
-        rng = np.random.default_rng(6)
-        x = rng.uniform(size=(10, 3))
-        y = x.sum(axis=1)
-        s = fit(x, y, rng=8, isotropic=True)
-        assert np.unique(s.params.length_scales).size == 1
-
     def test_nugget_escalation_recorded(self):
         # Three points coincident at this length scale: rank-one kernel
         # matrix, so a 1e-18 nugget cannot factorize and must escalate.
@@ -212,13 +205,13 @@ class TestFit:
         Xn = rng.uniform(size=(9, 2))
         y = rng.standard_normal(9)
         theta = np.array([0.3, -0.2, 0.5])
-        _, grad = gp_mod._neg_lml_and_grad(theta, Xn, y, 2, False, 1e-7)
+        _, grad = gp_mod._neg_lml_and_grad(theta, Xn, y, 1e-7)
         h = 1e-6
         for j in range(3):
             step = np.zeros(3)
             step[j] = h
-            up, _ = gp_mod._neg_lml_and_grad(theta + step, Xn, y, 2, False, 1e-7)
-            dn, _ = gp_mod._neg_lml_and_grad(theta - step, Xn, y, 2, False, 1e-7)
+            up, _ = gp_mod._neg_lml_and_grad(theta + step, Xn, y, 1e-7)
+            dn, _ = gp_mod._neg_lml_and_grad(theta - step, Xn, y, 1e-7)
             assert grad[j] == pytest.approx((up - dn) / (2.0 * h), rel=1e-5, abs=1e-8)
 
     def test_escalation_ceiling_raises_on_indefinite_matrix(self, monkeypatch):

@@ -33,6 +33,20 @@ from mdots.study import (
 from mdots.thompson import Seeds, replicate_seeds, run_mdo_ts
 
 
+# The header values of the settings that became constants, as records written
+# while they were settings hold them.
+OLD_HEADER_SETTINGS = {
+    "mda_max_iterations": 100,
+    "gp_nugget": 1e-7,
+    "gp_isotropic": False,
+    "de_population": None,
+    "de_mutation": 0.7,
+    "de_crossover": 0.9,
+    "penalty_base": 1000.0,
+    "penalty_bound_weight": 100.0,
+}
+
+
 def small_record(seed=0):
     cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=1, seed=seed, de_max_generations=60)
     with warnings.catch_warnings():
@@ -124,21 +138,13 @@ class TestRelaunch:
             "seed",
             "n_features",
             "mda_tol",
-            "mda_max_iterations",
             "reference_tol",
             "out",
             "workers",
-            "gp_nugget",
             "gp_restarts",
-            "gp_isotropic",
-            "de_population",
-            "de_mutation",
-            "de_crossover",
             "de_max_generations",
             "de_window",
             "de_tol",
-            "penalty_base",
-            "penalty_bound_weight",
             "recompute_reference",
         ]
 
@@ -147,6 +153,19 @@ class TestRelaunch:
         record.config = {**record.config, "gp": {"nugget": 1e-7}, "zz_new": 1}
         with pytest.raises(ValueError, match="unknown setting.*'gp', 'zz_new'"):
             run_from_record(record)
+
+    def test_retired_settings_at_their_constants_relaunch_and_report(self, tmp_path):
+        record = small_record(seed=5)
+        old = dataclasses.replace(record, config={**record.config, **OLD_HEADER_SETTINGS})
+        assert records_equal(record, run_from_record(old))
+        save_run_record(old, str(tmp_path / "run_0.ndjson"))
+        assert main(["report", str(tmp_path)]) == 0
+
+    def test_retired_setting_off_its_constant_is_refused(self):
+        record = small_record(seed=5)
+        old = dataclasses.replace(record, config={**record.config, **OLD_HEADER_SETTINGS, "de_mutation": 0.5})
+        with pytest.raises(ValueError, match="retired setting 'de_mutation'"):
+            run_from_record(old)
 
     def test_library_run_relaunches_and_reports(self, tmp_path):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=1, de_max_generations=60)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mdots.evolution import DeConfig, PenaltySpec, de_minimize, penalized_mdo_objective
+from mdots.evolution import DeConfig, de_minimize, penalized_mdo_objective
 from mdots.gp import posterior_variance
 from mdots.mda import MdaConfig
 from mdots.problems import Discipline, MdoProblem, TrainingSet, sellar_problem, toy_problem
@@ -67,7 +67,7 @@ class TestRunBudget:
         rng = np.random.default_rng(seeds.doe)
         sets = initial_doe_training_sets(problem, 4, rng)
         sset = fit_surrogate_set(sets, cfg, rng)
-        z, value = solve_surrogate_mdo(sset, problem, cfg.penalty_spec(), cfg.de_config(seeds.de), cfg.mda_config())
+        z, value = solve_surrogate_mdo(sset, problem, cfg.de_config(seeds.de), cfg.mda_config())
         np.testing.assert_array_equal(record.final_z, z.tolist())
         assert record.final_value == value
 
@@ -93,15 +93,15 @@ class TestRunBudget:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"de_mutation": 5.0},
-            {"de_crossover": 1.5},
-            {"de_population": 2},
             {"de_window": 0},
             {"mda_tol": -1.0},
-            {"mda_max_iterations": 0},
-            {"penalty_base": 0.0},
-            {"penalty_bound_weight": -1.0},
-            {"penalty_bound_weight": float("nan")},
+            {"mda_tol": float("inf")},
+            {"reference_tol": -1.0},
+            {"reference_tol": 0.0},
+            {"reference_tol": float("nan")},
+            {"reference_tol": float("inf")},
+            {"n_features": 0},
+            {"gp_restarts": -3},
             {"de_tol": float("nan")},
             {"de_tol": -1.0},
         ],
@@ -158,7 +158,7 @@ class TestSolveRandomMdo:
         problem = sellar_problem()
         evaluators = [d.fn for d in problem.disciplines]
         z, state, value = solve_random_mdo(
-            evaluators, problem, PenaltySpec(), DeConfig(seed=51), MdaConfig(tolerance=1e-2, max_iterations=100)
+            evaluators, problem, DeConfig(seed=51), MdaConfig(tolerance=1e-2, max_iterations=100)
         )
         np.testing.assert_allclose(z, [0.0, 2.6345, 0.0], atol=0.05)
         assert value == pytest.approx(-2.8085, abs=1e-2)
@@ -174,8 +174,8 @@ class TestSolveRandomMdo:
         ev1 = path_evaluators(sset, 400, path_rng)
         ev2 = path_evaluators(sset, 400, path_rng)
         mda = MdaConfig(tolerance=1e-2, max_iterations=100)
-        z1, _, _ = solve_random_mdo(ev1, problem, PenaltySpec(), DeConfig(seed=64), mda)
-        z2, _, _ = solve_random_mdo(ev2, problem, PenaltySpec(), DeConfig(seed=64), mda)
+        z1, _, _ = solve_random_mdo(ev1, problem, DeConfig(seed=64), mda)
+        z2, _, _ = solve_random_mdo(ev2, problem, DeConfig(seed=64), mda)
         assert not np.array_equal(z1, z2)
         for z in (z1, z2):
             assert problem.z_bounds[0, 0] <= z[0] <= problem.z_bounds[0, 1]
@@ -192,7 +192,7 @@ class TestSolveRandomMdo:
         values = []
         for _ in range(3):
             ev = path_evaluators(sset, 1000, path_rng)
-            _, _, value = solve_random_mdo(ev, problem, PenaltySpec(), DeConfig(seed=73), mda)
+            _, _, value = solve_random_mdo(ev, problem, DeConfig(seed=73), mda)
             values.append(value)
         assert max(values) - min(values) <= 1e-3
 
@@ -206,9 +206,9 @@ class TestSolveSurrogateMdo:
             [TrainingSet(inputs=zs, targets=targets)], ExperimentConfig(gp_restarts=1), np.random.default_rng(81)
         )
         mda = MdaConfig(tolerance=1e-6, max_iterations=50)
-        z_sur, value_sur = solve_surrogate_mdo(sset, problem, PenaltySpec(), DeConfig(seed=82), mda)
+        z_sur, value_sur = solve_surrogate_mdo(sset, problem, DeConfig(seed=82), mda)
 
-        true_objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, PenaltySpec(), mda)
+        true_objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, mda)
         direct = de_minimize(true_objective, problem.z_bounds, DeConfig(seed=82))
         assert value_sur == pytest.approx(direct.value, abs=1e-3)
         np.testing.assert_allclose(z_sur, direct.z, atol=1e-2)
