@@ -23,7 +23,7 @@ __all__ = ["DeConfig", "DeResult", "de_minimize", "penalized_mdo_objective"]
 
 @dataclass(frozen=True)
 class DeConfig:
-    """Differential evolution settings; ``population=None`` means max(15*d, 30).
+    """Differential evolution settings; ``population=None`` means max(10*d, 30).
 
     The defaults suit a Thompson proposal, which the next true evaluation
     only needs to a few digits: stop once the best value has gained less
@@ -94,7 +94,7 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
         raise ValueError("bounds must be a finite (d, 2) box")
     lo, hi = bounds[:, 0], bounds[:, 1]
     d = bounds.shape[0]
-    n_pop = cfg.population or max(15 * d, 30)
+    n_pop = cfg.population or max(10 * d, 30)
     rng = np.random.default_rng(cfg.seed)
 
     pop = lhs(bounds, n_pop, rng)

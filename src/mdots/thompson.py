@@ -98,10 +98,17 @@ class ExperimentConfig:
             raise ValueError("n_features must be at least 1")
         if self.gp_restarts < 0:
             raise ValueError("gp_restarts must be non-negative")
-        # The layer configs validate their own fields; build them now so a bad value fails here.
+        # The layer configs validate their own fields; build them now so a bad value fails here,
+        # naming the setting where two of them build the same config.
         self.de_config(0)
-        self.mda_config()
-        MdaConfig.reference(self.reference_tol)
+        for name, build in (
+            ("mda_tol", self.mda_config),
+            ("reference_tol", lambda: MdaConfig.reference(self.reference_tol)),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ValueError(f"{name}={getattr(self, name)!r}: {exc}") from None
 
     @classmethod
     def from_dict(cls, settings: dict) -> "ExperimentConfig":

@@ -126,7 +126,17 @@ class TestStudyCommand:
             run_cli(["study", "--config", str(cfg_file), "--repeat", "1", "--workers", "1", "--out", str(out)])
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "tolerance" in errors[0]
+        assert len(errors) == 1 and "reference_tol" in errors[0] and "tolerance" in errors[0]
+        assert not out.exists()
+
+    def test_negative_mda_tol_rejected_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "study"
+        argv = ["study", "--problem", "toy", "--n-doe", "3", "--n-iter", "1", "--mda-tol", "-1", "--workers", "1"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "mda_tol" in errors[0] and "reference_tol" not in errors[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "study"])

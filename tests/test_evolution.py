@@ -20,7 +20,7 @@ def de_minimize_loop(objective, bounds, cfg):
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
     d = bounds.shape[0]
-    n_pop = cfg.population or max(15 * d, 30)
+    n_pop = cfg.population or max(10 * d, 30)
     rng = np.random.default_rng(cfg.seed)
     pop = lhs(bounds, n_pop, rng)
     vals = _scores(objective, pop)
@@ -144,15 +144,17 @@ class TestDeMinimize:
         np.testing.assert_array_equal(a.history, b.history)
 
     def test_default_population_rule(self):
-        calls = []
+        def first_rows(d):
+            calls = []
 
-        def counting(z):
-            z = np.atleast_2d(z)
-            calls.append(z.shape[0])
-            return (z**2).sum(axis=1)
+            def counting(z):
+                calls.append(z.shape[0])
+                return (z**2).sum(axis=1)
 
-        de_minimize(counting, [[-1.0, 1.0]] * 3, DeConfig(max_generations=1, seed=8))
-        assert calls[0] == 45  # max(15 * 3, 30)
+            de_minimize(counting, [[-1.0, 1.0]] * d, DeConfig(max_generations=1, seed=8))
+            return calls[0]
+
+        assert [first_rows(d) for d in (1, 2, 3, 4)] == [30, 30, 30, 40]  # max(10 * d, 30)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

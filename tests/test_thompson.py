@@ -107,7 +107,9 @@ class TestRunBudget:
         ],
     )
     def test_layer_settings_rejected_when_the_config_is_built(self, bad):
-        with pytest.raises(ValueError):
+        # The error names the setting; a DE setting by its DeConfig field.
+        (name,) = bad
+        with pytest.raises(ValueError, match=name.removeprefix("de_")):
             ExperimentConfig(**bad)
 
 
