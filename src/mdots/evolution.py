@@ -20,31 +20,29 @@ from .problems import MdoProblem, lhs
 
 __all__ = ["DeConfig", "DeResult", "de_minimize", "penalized_mdo_objective"]
 
+# Storn & Price's rand/1/bin values: mutation factor F, crossover rate CR, and
+# a population of 10 per design variable with a floor of 30.
+MUTATION = 0.7
+CROSSOVER = 0.9
+POPULATION_PER_VARIABLE = 10
+MIN_POPULATION = 30
+
 
 @dataclass(frozen=True)
 class DeConfig:
-    """Differential evolution settings; ``population=None`` means max(10*d, 30).
+    """Differential evolution stop rule and seed.
 
     The defaults suit a Thompson proposal, which the next true evaluation
     only needs to a few digits: stop once the best value has gained less
     than an absolute ``tol`` over ``window`` generations.
     """
 
-    population: int | None = None
-    mutation: float = 0.7
-    crossover: float = 0.9
     max_generations: int = 300
     window: int = 20
     tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.population is not None and self.population < 4:
-            raise ValueError("population must be at least 4")
-        if not (0.0 < self.mutation <= 2.0):
-            raise ValueError("mutation factor must be in (0, 2]")
-        if not (0.0 <= self.crossover <= 1.0):
-            raise ValueError("crossover rate must be in [0, 1]")
         if self.max_generations < 1 or self.window < 1:
             raise ValueError("max_generations and window must be positive")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -60,19 +58,15 @@ class DeConfig:
 class DeResult:
     z: np.ndarray
     value: float
-    history: np.ndarray  # best value after each generation (index 0 = initial population)
     generations: int
     evaluations: int
 
 
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # Fold back at the faces; repeat for large excursions, clip as a last resort.
-    for _ in range(8):
-        below, above = x < lo, x > hi
-        if not (below.any() or above.any()):
-            return x
-        x = np.where(below, 2.0 * lo - x, x)
-        x = np.where(above, 2.0 * hi - x, x)
+    # Fold back once at the faces. With parents inside the box a mutant lies at
+    # most MUTATION (< 1) box widths outside a face, so one fold lands inside;
+    # the clip only guards against rounding.
+    x = np.where(x < lo, 2.0 * lo - x, np.where(x > hi, 2.0 * hi - x, x))
     return np.clip(x, lo, hi)
 
 
@@ -94,7 +88,7 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
         raise ValueError("bounds must be a finite (d, 2) box")
     lo, hi = bounds[:, 0], bounds[:, 1]
     d = bounds.shape[0]
-    n_pop = cfg.population or max(10 * d, 30)
+    n_pop = max(POPULATION_PER_VARIABLE * d, MIN_POPULATION)
     rng = np.random.default_rng(cfg.seed)
 
     pop = lhs(bounds, n_pop, rng)
@@ -112,10 +106,10 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
         # gene); the arithmetic on them then runs on the whole population.
         for i in range(n_pop):
             picks[i] = rng.choice(n_pop - 1, size=3, replace=False)
-            cross[i] = rng.random(d) < cfg.crossover
+            cross[i] = rng.random(d) < CROSSOVER
             cross[i, rng.integers(d)] = True
         parents = picks + (picks >= rows)  # skip the individual itself
-        mutants = pop[parents[:, 0]] + cfg.mutation * (pop[parents[:, 1]] - pop[parents[:, 2]])
+        mutants = pop[parents[:, 0]] + MUTATION * (pop[parents[:, 1]] - pop[parents[:, 2]])
         trials = np.where(cross, _reflect(mutants, lo, hi), pop)
         trial_vals = _scores(objective, trials)
         evaluations += n_pop
@@ -130,7 +124,6 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
     return DeResult(
         z=pop[best].copy(),
         value=float(vals[best]),
-        history=np.asarray(history),
         generations=generations,
         evaluations=evaluations,
     )

@@ -83,16 +83,15 @@ class CouplingResult:
     y: np.ndarray  # (n, d_y)
     status: np.ndarray  # (n,) of MdaStatus codes
     iterations: np.ndarray  # (n,)
-    residual: np.ndarray  # (n,)
     failure: str | None = None
 
 
-def aitken_update(omega: np.ndarray, delta_prev: np.ndarray, delta_curr: np.ndarray, bounds) -> np.ndarray:
+def aitken_update(omega: np.ndarray, delta_prev: np.ndarray, delta_curr: np.ndarray) -> np.ndarray:
     """Next relaxation factor of each row from two consecutive sweep updates.
 
     ``omega`` is ``(n,)``, the deltas ``(n, d_y)``. Rows with identical
     consecutive deltas keep their previous factor; every result is clamped
-    into ``bounds``.
+    into ``OMEGA_BOUNDS``.
     """
     diff = delta_curr - delta_prev
     denom = np.einsum("ij,ij->i", diff, diff)
@@ -100,7 +99,7 @@ def aitken_update(omega: np.ndarray, delta_prev: np.ndarray, delta_curr: np.ndar
     moved = denom > 0.0
     omega = np.where(moved, -omega * np.divide(num, denom, out=np.zeros_like(num), where=moved), omega)
     # np.clip's values, without its Python-level dispatch on every sweep.
-    return np.minimum(np.maximum(omega, bounds[0]), bounds[1])
+    return np.minimum(np.maximum(omega, OMEGA_BOUNDS[0]), OMEGA_BOUNDS[1])
 
 
 def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> CouplingResult:
@@ -134,14 +133,13 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
 
     status = np.full(n, int(MdaStatus.MAX_ITERATIONS))
     iterations = np.full(n, cfg.max_iterations)
-    residual = np.full(n, np.inf)
     failure_note = None
 
     # The active rows' state, kept compacted in batch order: ``idx`` maps each
     # active row back to the batch. Rows are scattered out and the rest
     # gathered only when some row leaves, not on every sweep.
     idx = np.arange(n)
-    Z_act, y_act, res_act = Z[idx], y[idx], residual[idx]
+    Z_act, y_act = Z[idx], y[idx]
     omega = np.full(n, OMEGA_INIT if cfg.aitken else 1.0)
     delta_prev = None  # every active row has one from sweep 2 on
     # Stall exit state: a ring of the last STALL_WINDOW residuals (slot
@@ -151,14 +149,13 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
 
     def retire(gone, code, sweep):
         """Record the active rows ``gone`` as finished with ``code`` at their current iterate, and drop them."""
-        nonlocal idx, Z_act, y_act, y_new, res_act, omega, delta_prev, recent, best_before
+        nonlocal idx, Z_act, y_act, y_new, omega, delta_prev, recent, best_before
         rows = idx[gone]
         status[rows] = int(code)
         iterations[rows] = sweep
         y[rows] = y_act[gone]
-        residual[rows] = res_act[gone]
         keep = ~gone
-        idx, Z_act, y_act, y_new, res_act, omega = idx[keep], Z_act[keep], y_act[keep], y_new[keep], res_act[keep], omega[keep]
+        idx, Z_act, y_act, y_new, omega = idx[keep], Z_act[keep], y_act[keep], y_new[keep], omega[keep]
         recent, best_before = recent[keep], best_before[keep]
         if delta_prev is not None:
             delta_prev = delta_prev[keep]
@@ -188,7 +185,7 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
 
         delta = y_new - y_act
         if cfg.aitken and delta_prev is not None:
-            omega = aitken_update(omega, delta_prev, delta, OMEGA_BOUNDS)
+            omega = aitken_update(omega, delta_prev, delta)
         applied = omega[:, None] * delta
         y_act = y_act + applied
         res_act = (np.abs(applied) / np.maximum(np.abs(y_act), RESIDUAL_FLOOR)).max(axis=1)
@@ -207,8 +204,7 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
                 retire(stalled, MdaStatus.MAX_ITERATIONS, sweep)
 
     y[idx] = y_act
-    residual[idx] = res_act
-    return CouplingResult(y=y, status=status, iterations=iterations, residual=residual, failure=failure_note)
+    return CouplingResult(y=y, status=status, iterations=iterations, failure=failure_note)
 
 
 def gauss_seidel_solve(disciplines, z, y0, cfg: MdaConfig) -> CouplingResult:

@@ -31,6 +31,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Each forked pool worker runs its own BLAS thread pool unless one of these pins it.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 @dataclass
 class VariableStat:
@@ -92,13 +95,15 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
 
     Replicates are keyed by index; execution order (and the worker pool
     width) cannot change any record or statistic. The pool has ``workers``
-    processes (``os.cpu_count()`` when unset), at least one and at most
-    ``repeat``. A replicate that fails outright is warned about and counted
-    as a run that did not converge; the study always completes. Each
-    finished replicate is logged at INFO on the ``mdots.study`` logger, in
-    the order they finish.
+    processes (when unset, one per CPU this process may run on), at least
+    one and at most ``repeat``. A replicate that fails outright is warned
+    about and counted as a run that did not converge; the study always
+    completes. Each finished replicate is logged at INFO on the
+    ``mdots.study`` logger, in the order they finish; opening a pool while
+    none of ``BLAS_THREAD_VARS`` is set logs one WARNING there.
     """
-    workers = min((os.cpu_count() or 1) if cfg.workers is None else max(1, cfg.workers), cfg.repeat)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus if cfg.workers is None else max(1, cfg.workers), cfg.repeat)
     failures: dict[int, str] = {}
     records = []
 
@@ -119,6 +124,9 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
     else:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
+        if not any(os.environ.get(var) for var in BLAS_THREAD_VARS):
+            log.warning("none of %s is set, so each of the %d pool workers runs BLAS threads of its own, "
+                        "which slows a study several-fold", ", ".join(BLAS_THREAD_VARS), workers)
         started = time.perf_counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_timed_replicate, cfg, k, out_dir): k for k in range(cfg.repeat)}

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .evolution import BOUND_WEIGHT, PENALTY_BASE, DeConfig, de_minimize, penalized_mdo_objective
+from .evolution import BOUND_WEIGHT, CROSSOVER, MUTATION, PENALTY_BASE, DeConfig, de_minimize, penalized_mdo_objective
 from .gp import DEFAULT_NUGGET, DEFAULT_RESTARTS, TrainedSurrogate, fit, posterior_mean
 from .mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
 from .paths import DEFAULT_FEATURES, draw_path, eval_path
@@ -54,9 +54,9 @@ RETIRED_SETTINGS = {
     "mda_max_iterations": MDA_MAX_ITERATIONS,
     "gp_nugget": DEFAULT_NUGGET,
     "gp_isotropic": False,
-    "de_population": DeConfig.population,
-    "de_mutation": DeConfig.mutation,
-    "de_crossover": DeConfig.crossover,
+    "de_population": None,  # None stood for the population rule, now the only one
+    "de_mutation": MUTATION,
+    "de_crossover": CROSSOVER,
     "penalty_base": PENALTY_BASE,
     "penalty_bound_weight": BOUND_WEIGHT,
 }

@@ -185,7 +185,7 @@ def test_criterion_7_de_optimizer():
         def sphere(z):
             return (np.atleast_2d(z) ** 2).sum(axis=1)
 
-        cfg = DeConfig(population=30, max_generations=200, seed=13)
+        cfg = DeConfig(max_generations=200, seed=13)
         result = de_minimize(sphere, [[-5.0, 5.0]] * 3, cfg)
         assert result.value <= 1e-3
         assert result.generations <= 200

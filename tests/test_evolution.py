@@ -1,7 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mdots.evolution import BOUND_WEIGHT, PENALTY_BASE, DeConfig, DeResult, _reflect, _scores, de_minimize, penalized_mdo_objective
+from mdots.evolution import (
+    BOUND_WEIGHT,
+    CROSSOVER,
+    MIN_POPULATION,
+    MUTATION,
+    PENALTY_BASE,
+    POPULATION_PER_VARIABLE,
+    DeConfig,
+    DeResult,
+    _reflect,
+    _scores,
+    de_minimize,
+    penalized_mdo_objective,
+)
 from mdots.mda import MdaConfig
 from mdots.problems import Discipline, MdoProblem, lhs, sellar_problem, toy_problem
 from mdots.study import resolve_reference
@@ -20,7 +37,7 @@ def de_minimize_loop(objective, bounds, cfg):
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
     d = bounds.shape[0]
-    n_pop = cfg.population or max(10 * d, 30)
+    n_pop = max(POPULATION_PER_VARIABLE * d, MIN_POPULATION)
     rng = np.random.default_rng(cfg.seed)
     pop = lhs(bounds, n_pop, rng)
     vals = _scores(objective, pop)
@@ -33,9 +50,9 @@ def de_minimize_loop(objective, bounds, cfg):
         for i in range(n_pop):
             pick = rng.choice(n_pop - 1, size=3, replace=False)
             pick[pick >= i] += 1
-            mutant = pop[pick[0]] + cfg.mutation * (pop[pick[1]] - pop[pick[2]])
+            mutant = pop[pick[0]] + MUTATION * (pop[pick[1]] - pop[pick[2]])
             mutant = _reflect(mutant, lo, hi)
-            cross = rng.random(d) < cfg.crossover
+            cross = rng.random(d) < CROSSOVER
             cross[rng.integers(d)] = True
             trials[i] = np.where(cross, mutant, pop[i])
         trial_vals = _scores(objective, trials)
@@ -47,19 +64,18 @@ def de_minimize_loop(objective, bounds, cfg):
         if len(history) > cfg.window and history[-1 - cfg.window] - history[-1] < cfg.tol:
             break
     best = int(np.argmin(vals))
-    return DeResult(pop[best].copy(), float(vals[best]), np.asarray(history), generations, evaluations)
+    return DeResult(pop[best].copy(), float(vals[best]), generations, evaluations)
 
 
 class TestDeMinimize:
     @pytest.mark.parametrize(
         "bounds, cfg",
         [
-            ([[-5.0, 5.0]] * 3, DeConfig(population=20, max_generations=60, seed=11)),
-            ([[-1.0, 3.0], [0.0, 0.5]], DeConfig(max_generations=80, crossover=0.3, seed=12)),
+            ([[-5.0, 5.0]] * 3, DeConfig(max_generations=60, seed=11)),
+            ([[-1.0, 3.0], [0.0, 0.5]], DeConfig(max_generations=80, seed=12)),
             ([[2.0, 10.0], [-3.0, 3.0], [0.0, 10.0]], DeConfig(max_generations=300, seed=2_000_003)),
-            # A narrow box with the largest mutation factor folds mutants several
-            # times and leaves some to the final clip.
-            ([[0.0, 1e-3], [-1.0, 1.0]], DeConfig(population=12, mutation=2.0, max_generations=50, seed=13)),
+            # A box a thousand times narrower in one variable, where many mutants fold.
+            ([[0.0, 1e-3], [-1.0, 1.0]], DeConfig(max_generations=50, seed=13)),
         ],
     )
     def test_population_variation_matches_per_individual_loop(self, bounds, cfg):
@@ -70,7 +86,6 @@ class TestDeMinimize:
         got = de_minimize(shifted, bounds, cfg)
         want = de_minimize_loop(shifted, bounds, cfg)
         assert np.array_equal(got.z, want.z)
-        assert np.array_equal(got.history, want.history)
         assert got.value == want.value
         assert (got.generations, got.evaluations) == (want.generations, want.evaluations)
 
@@ -81,14 +96,27 @@ class TestDeMinimize:
         assert np.array_equal(_reflect(far, lo, hi), single)
         assert np.all((single >= lo) & (single <= hi))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_fold_puts_every_mutant_inside_the_box(self, data):
+        # Parents inside a box put a mutant at most MUTATION < 1 box widths outside a
+        # face, so a single fold lands inside and the clip after it never moves one.
+        lo = data.draw(st.floats(-1e6, 1e6 - 1e-6))
+        hi = data.draw(st.floats(min(lo + 1e-6, 1e6), 1e6))
+        a, b, c = (data.draw(st.floats(lo, hi)) for _ in range(3))
+        mutant = np.array([a + MUTATION * (b - c)])
+        folded = np.where(mutant < lo, 2.0 * lo - mutant, np.where(mutant > hi, 2.0 * hi - mutant, mutant))
+        assert lo <= folded[0] <= hi
+        assert _reflect(mutant, np.array([lo]), np.array([hi]))[0] == folded[0]
+
     def test_sphere_reaches_global_minimum(self):
-        cfg = DeConfig(population=30, max_generations=200, seed=1)
+        cfg = DeConfig(max_generations=200, seed=1)
         result = de_minimize(sphere, [[-5.0, 5.0]] * 3, cfg)
         assert result.value <= 1e-3
         assert np.all(np.abs(result.z) <= 0.1)
 
     def test_constant_objective_terminates_by_window(self):
-        cfg = DeConfig(population=12, max_generations=300, window=25, seed=2)
+        cfg = DeConfig(max_generations=300, window=25, seed=2)
         result = de_minimize(lambda Z: np.full(len(Z), 7.0), [[-1.0, 3.0]] * 2, cfg)
         assert result.generations == 25
         assert result.value == 7.0
@@ -101,7 +129,7 @@ class TestDeMinimize:
             z = np.atleast_2d(z)
             return (1.0 - z[:, 0]) ** 2 + 100.0 * (z[:, 1] - z[:, 0] ** 2) ** 2
 
-        cfg = DeConfig(population=20, max_generations=80, seed=3)
+        cfg = DeConfig(max_generations=80, seed=3)
         r0 = de_minimize(rosen, bounds, cfg)
         r1 = de_minimize(lambda z: rosen(z) + 123.456, bounds, cfg)
         np.testing.assert_array_equal(r0.z, r1.z)
@@ -115,7 +143,7 @@ class TestDeMinimize:
             seen.append(np.array(Z, copy=True))
             return (Z**2).sum(axis=1)
 
-        de_minimize(recorder, bounds, DeConfig(population=8, max_generations=30, seed=4))
+        de_minimize(recorder, bounds, DeConfig(max_generations=30, seed=4))
         seen = np.vstack(seen)
         assert np.all(seen >= bounds[:, 0]) and np.all(seen <= bounds[:, 1])
 
@@ -126,22 +154,25 @@ class TestDeMinimize:
             vals[z[:, 0] > 0.0] = np.nan
             return vals
 
-        cfg = DeConfig(population=16, max_generations=60, seed=5)
+        cfg = DeConfig(max_generations=60, seed=5)
         result = de_minimize(holey, [[-2.0, 2.0]] * 2, cfg)
         assert np.isfinite(result.value)
         assert result.z[0] <= 0.0
 
     def test_monotone_best_history(self):
-        cfg = DeConfig(population=15, max_generations=50, seed=6)
-        result = de_minimize(sphere, [[-3.0, 3.0]] * 2, cfg)
-        assert np.all(np.diff(result.history) <= 0.0)
+        # A run capped at k generations is the first k generations of a longer one with
+        # the same seed, so the best value can only fall as the cap grows.
+        caps = range(1, 51, 7)
+        bests = [de_minimize(sphere, [[-3.0, 3.0]] * 2, DeConfig(max_generations=k, seed=6)).value for k in caps]
+        assert np.all(np.diff(bests) <= 0.0)
+        assert bests[-1] < bests[0]
 
     def test_deterministic_given_seed(self):
-        cfg = DeConfig(population=10, max_generations=40, seed=7)
+        cfg = DeConfig(max_generations=40, seed=7)
         a = de_minimize(sphere, [[-3.0, 3.0]] * 2, cfg)
         b = de_minimize(sphere, [[-3.0, 3.0]] * 2, cfg)
         np.testing.assert_array_equal(a.z, b.z)
-        np.testing.assert_array_equal(a.history, b.history)
+        assert (a.value, a.generations, a.evaluations) == (b.value, b.generations, b.evaluations)
 
     def test_default_population_rule(self):
         def first_rows(d):
@@ -157,12 +188,10 @@ class TestDeMinimize:
         assert [first_rows(d) for d in (1, 2, 3, 4)] == [30, 30, 30, 40]  # max(10 * d, 30)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DeConfig(population=3)
-        with pytest.raises(ValueError):
-            DeConfig(mutation=0.0)
-        with pytest.raises(ValueError):
-            DeConfig(crossover=1.5)
+        with pytest.raises(ValueError, match="max_generations and window"):
+            DeConfig(max_generations=0)
+        with pytest.raises(ValueError, match="max_generations and window"):
+            DeConfig(window=0)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
     def test_tolerance_that_disables_the_plateau_test_rejected(self, tol):
@@ -173,17 +202,17 @@ class TestDeMinimize:
 
 class TestStopRule:
     def test_default_and_reference_settings(self):
-        assert DeConfig() == DeConfig(
-            population=None, mutation=0.7, crossover=0.9, max_generations=300, window=20, tol=1e-6, seed=0
-        )
-        assert DeConfig.reference() == DeConfig(
-            population=None, mutation=0.7, crossover=0.9, max_generations=400, window=40, tol=1e-8, seed=0
-        )
+        # Only the stop rule and the seed are settings; rand/1/bin's values are constants.
+        assert [f.name for f in dataclasses.fields(DeConfig)] == ["max_generations", "window", "tol", "seed"]
+        assert [f.name for f in dataclasses.fields(DeResult)] == ["z", "value", "generations", "evaluations"]
+        assert (MUTATION, CROSSOVER, POPULATION_PER_VARIABLE, MIN_POPULATION) == (0.7, 0.9, 10, 30)
+        assert DeConfig() == DeConfig(max_generations=300, window=20, tol=1e-6, seed=0)
+        assert DeConfig.reference() == DeConfig(max_generations=400, window=40, tol=1e-8, seed=0)
 
     def test_plateau_stops_at_the_default_window(self):
         result = de_minimize(lambda Z: np.full(len(Z), 7.0), [[-1.0, 3.0]] * 2, DeConfig(seed=2))
         assert result.generations == DeConfig().window == 20
-        assert len(result.history) == 21
+        assert result.evaluations == 21 * 30  # the initial population and 20 generations
 
     def test_default_rule_is_absolute_so_argmin_ignores_a_shift(self):
         # A tolerance scaled by the best value would stop the shifted run earlier, at another point.
@@ -281,7 +310,7 @@ class TestPenalizedObjective:
         objective = penalized_mdo_objective(
             [d.fn for d in problem.disciplines], problem, SURROGATE_MDA
         )
-        cfg = DeConfig(population=20, max_generations=60, seed=10)
+        cfg = DeConfig(max_generations=60, seed=10)
         result = de_minimize(objective, problem.z_bounds, cfg)
         assert result.value == pytest.approx(objective(result.z[None, :])[0], abs=1e-12)
         assert result.value < 500.0  # converged in-bounds: plain objective scale

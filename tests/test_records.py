@@ -216,8 +216,9 @@ class TestStudy:
                 b.final_value,
             )
 
-    def test_worker_count(self, monkeypatch):
-        # ``workers`` when set, at least one; one per CPU when unset; never more than ``repeat``.
+    @pytest.fixture
+    def pool_widths(self, monkeypatch):
+        """Replace the process pool by one that records its width and runs each replicate when it is submitted."""
         import concurrent.futures
 
         import mdots.study as study_mod
@@ -227,8 +228,6 @@ class TestStudy:
         widths = []
 
         class InlinePool:
-            """Records its width and runs each replicate when it is submitted."""
-
             def __init__(self, max_workers):
                 widths.append(max_workers)
 
@@ -244,13 +243,51 @@ class TestStudy:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        # (workers, CPUs, pools opened): a width of one runs the replicates without a pool.
-        for workers, cpus, pools in [(None, 3, [3]), (None, None, []), (2, 8, [2]), (9, 8, [4]), (0, 8, []), (-3, 8, [])]:
+        return widths
+
+    def test_worker_count(self, monkeypatch, pool_widths):
+        # ``workers`` when set, at least one; one per usable CPU when unset; never more than ``repeat``.
+        # (workers, os.cpu_count(), affinity set or None where the OS has no sched_getaffinity, pools opened);
+        # a width of one runs the replicates without a pool.
+        cases = [
+            (None, 8, {0, 1, 2}, [3]),  # the CPUs this process may use, not the machine's
+            (None, 2, {0}, []),  # as under ``taskset -c 0``
+            (None, 3, None, [3]),
+            (None, None, None, []),
+            (2, 8, {0}, [2]),
+            (9, 8, None, [4]),
+            (0, 8, None, []),
+            (-3, 8, None, []),
+        ]
+        for workers, cpus, affinity, pools in cases:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            widths.clear()
+            if affinity is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            pool_widths.clear()
             records, _ = run_study(ExperimentConfig(problem="toy", repeat=4, workers=workers))
-            assert widths == pools, (workers, cpus)
+            assert pool_widths == pools, (workers, cpus, affinity)
             assert [r.replicate for r in records] == [0, 1, 2, 3]
+
+    def test_pool_with_unpinned_blas_warns_once(self, monkeypatch, caplog, pool_widths):
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in blas_vars:
+            monkeypatch.delenv(var, raising=False)
+
+        def warnings_of(workers):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="mdots.study"):
+                run_study(ExperimentConfig(problem="toy", repeat=2, workers=workers))
+            return [r for r in caplog.records if r.name == "mdots.study" and r.levelno >= logging.WARNING]
+
+        (line,) = warnings_of(2)
+        assert line.levelno == logging.WARNING
+        assert all(var in line.getMessage() for var in blas_vars)
+        assert warnings_of(1) == []  # no pool, no BLAS thread pools of its own
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert warnings_of(2) == []
+        assert pool_widths == [2, 2]
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
     def test_each_finished_replicate_is_logged(self, caplog, workers):
