@@ -55,6 +55,8 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"--config: cannot read {args.config}: {exc}")
+        if not isinstance(file_cfg, dict):
+            parser.error(f"--config: {args.config} must hold a JSON object of settings")
         for key, value in file_cfg.items():
             field = _ALIASES.get(key, key)
             if field not in _CONFIG_FIELDS:
@@ -118,8 +120,8 @@ def _cmd_report(args, parser) -> int:
         write_trace_csv(record, os.path.join(out_dir, f"trace_run_{record.replicate}.csv"))
     cfg = ExperimentConfig.from_dict(records[0].config)
     with build_problem(cfg) as problem:
-        reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
-        summary = summarize(problem, records, reference, tolerance=cfg.reference_tol)
+        reference = resolve_reference(problem, recompute=cfg.recompute_reference)
+        summary = summarize(problem, records, reference)
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
     write_summary_csv(summary, aggregate_path)
     print(f"traces={len(records)} aggregate={aggregate_path} skipped={skipped}")
@@ -131,7 +133,7 @@ def _cmd_report(args, parser) -> int:
 def _cmd_reference(args, parser) -> int:
     cfg = _resolve_config(args, parser)
     with build_problem(cfg) as problem:
-        reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
+        reference = resolve_reference(problem, recompute=cfg.recompute_reference)
     z = ", ".join(f"{v: .6f}" for v in np.atleast_1d(reference.z))
     print(f"problem={problem.problem_id} z_star=[{z}] objective={reference.objective:.6f}")
     return 0

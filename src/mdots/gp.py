@@ -220,7 +220,6 @@ def fit(
     X,
     y,
     *,
-    nugget: float = DEFAULT_NUGGET,
     restarts: int = DEFAULT_RESTARTS,
     rng=None,
     warm_start: KernelParams | None = None,
@@ -230,7 +229,8 @@ def fit(
     The search is a bounded L-BFGS-B run in log space, started at unit
     length scales and unit signal variance plus ``restarts`` random
     restarts drawn from ``rng`` (and at ``warm_start`` when given). The
-    nugget is held fixed unless Cholesky failures force escalation.
+    nugget is held at ``DEFAULT_NUGGET`` unless Cholesky failures force
+    escalation.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -264,7 +264,7 @@ def fit(
         res = optimize.minimize(
             _neg_lml_and_grad,
             theta0,
-            args=(X_norm, y_std, nugget),
+            args=(X_norm, y_std, DEFAULT_NUGGET),
             method="L-BFGS-B",
             jac=True,
             bounds=[(lo, hi)] * n_theta,
@@ -273,7 +273,7 @@ def fit(
         if res.fun < best_val:
             best_theta, best_val = res.x, res.fun
 
-    params = _theta_to_params(best_theta, nugget)
+    params = _theta_to_params(best_theta, DEFAULT_NUGGET)
     L, params = _chol_with_escalation(params, X_norm)
     alpha = _solve_chol(L, y_std)
     for arr in (L, alpha, X_norm, y_std):

@@ -37,6 +37,8 @@ OMEGA_BOUNDS = (0.05, 2.0)
 STALL_START = 40
 STALL_WINDOW = 20
 STALL_RATIO = 0.95
+# Tolerance of every solve of the true problem: a true objective or a reference re-solve.
+REFERENCE_TOL = 1e-10
 
 
 class DisciplineFailure(RuntimeError):
@@ -60,7 +62,7 @@ class MdaStatus(enum.IntEnum):
 class MdaConfig:
     """Tolerance, sweep cap and whether to apply Aitken relaxation, for one coupled solve."""
 
-    tolerance: float = 1e-10
+    tolerance: float = REFERENCE_TOL
     max_iterations: int = 200
     aitken: bool = True
 

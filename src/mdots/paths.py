@@ -45,7 +45,7 @@ class PathSample:
     anchor: TrainedSurrogate
 
 
-def sample_feature_map(params: KernelParams, dim: int, n_features: int = DEFAULT_FEATURES, rng=None) -> FeatureMap:
+def sample_feature_map(params: KernelParams, dim: int, n_features: int, rng) -> FeatureMap:
     """Draw RFF frequencies/phases/weights for the squared-exponential kernel.
 
     Frequencies are independent normals with per-dimension standard
@@ -75,7 +75,7 @@ def _prior_values(fm: FeatureMap, X_norm: np.ndarray) -> np.ndarray:
     return fm.amplitude * (phase @ fm.weights)
 
 
-def draw_path(surrogate: TrainedSurrogate, n_features: int = DEFAULT_FEATURES, rng=None) -> PathSample:
+def draw_path(surrogate: TrainedSurrogate, n_features: int, rng) -> PathSample:
     """Draw one approximate posterior path from a fitted surrogate.
 
     Consumes the stream in a fixed order (frequencies, phases, weights,

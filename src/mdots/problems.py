@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
+from .mda import REFERENCE_TOL, DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
 
 __all__ = [
     "Discipline",
@@ -105,10 +105,6 @@ class MdoProblem:
     def n_disciplines(self) -> int:
         return len(self.disciplines)
 
-    def coupling_input_bounds(self, i: int) -> np.ndarray:
-        """Bounds of the coupling components consumed by discipline ``i``."""
-        return self.y_bounds[self.disciplines[i].consumes]
-
     def y_midpoint(self) -> np.ndarray:
         """Coupling-box midpoint, where every coupled solve starts."""
         return 0.5 * (self.y_bounds[:, 0] + self.y_bounds[:, 1])
@@ -119,7 +115,7 @@ class MdoProblem:
             raise ValueError("one evaluator per discipline is required")
         return tuple(replace(d, fn=e) for d, e in zip(self.disciplines, evaluators))
 
-    def true_objective(self, z, tolerance: float = 1e-10):
+    def true_objective(self, z, tolerance: float = REFERENCE_TOL):
         """Objective at the true coupled solution of ``z`` (NaN if unconverged), and that solve's one-row result."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
         state = gauss_seidel_solve(self.disciplines, z, self.y_midpoint(), MdaConfig.reference(tolerance))
@@ -220,8 +216,8 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
         raise ValueError("need at least two DoE points")
     rng = np.random.default_rng(rng)
     sets = []
-    for i, disc in enumerate(problem.disciplines):
-        box = np.vstack([problem.z_bounds, problem.coupling_input_bounds(i)])
+    for disc in problem.disciplines:
+        box = np.vstack([problem.z_bounds, problem.y_bounds[disc.consumes]])
         pts = lhs(box, n_doe, rng)
         Z = pts[:, : problem.d_z]
         Yin = pts[:, problem.d_z :]

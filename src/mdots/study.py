@@ -12,7 +12,7 @@ import numpy as np
 
 from .evolution import DeConfig, de_minimize, penalized_mdo_objective
 from .external import load_external_problem
-from .mda import MdaConfig
+from .mda import REFERENCE_TOL, MdaConfig
 from .problems import MdoProblem, ReferenceSolution, sellar_problem, toy_problem
 from .records import save_run_record
 from .thompson import ExperimentConfig, RunRecord, convergence_check, run_mdo_ts
@@ -95,15 +95,15 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
 
     Replicates are keyed by index; execution order (and the worker pool
     width) cannot change any record or statistic. The pool has ``workers``
-    processes (when unset, one per CPU this process may run on), at least
-    one and at most ``repeat``. A replicate that fails outright is warned
+    processes (when unset, one per CPU this process may run on), at most
+    ``repeat``. A replicate that fails outright is warned
     about and counted as a run that did not converge; the study always
     completes. Each finished replicate is logged at INFO on the
     ``mdots.study`` logger, in the order they finish; opening a pool while
     none of ``BLAS_THREAD_VARS`` is set logs one WARNING there.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus if cfg.workers is None else max(1, cfg.workers), cfg.repeat)
+    workers = min(cpus if cfg.workers is None else cfg.workers, cfg.repeat)
     failures: dict[int, str] = {}
     records = []
 
@@ -141,12 +141,12 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
     records.sort(key=lambda r: r.replicate)
 
     with build_problem(cfg) as problem:
-        reference = resolve_reference(problem, recompute=cfg.recompute_reference, tolerance=cfg.reference_tol)
-        summary = summarize(problem, records, reference, tolerance=cfg.reference_tol, n_runs=cfg.repeat)
+        reference = resolve_reference(problem, recompute=cfg.recompute_reference)
+        summary = summarize(problem, records, reference, n_runs=cfg.repeat)
     return records, summary
 
 
-def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: float = 1e-10) -> ReferenceSolution:
+def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: float = REFERENCE_TOL) -> ReferenceSolution:
     """Shipped reference optimum, or a fresh exhaustive solve of the true problem."""
     if problem.reference is not None and not recompute:
         return problem.reference
@@ -157,13 +157,7 @@ def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: f
     return ReferenceSolution(z=result.z, objective=float(f_true))
 
 
-def summarize(
-    problem: MdoProblem,
-    records,
-    reference: ReferenceSolution,
-    tolerance: float = 1e-10,
-    n_runs: int | None = None,
-) -> StudySummary:
+def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs: int | None = None) -> StudySummary:
     """Apply the relative convergence criterion and average the converged runs.
 
     ``n_runs`` defaults to the number of records; a study that lost
@@ -173,7 +167,7 @@ def summarize(
     f_found = np.empty(len(records))
     mask = np.zeros(len(records), dtype=bool)
     for i, record in enumerate(records):
-        f, _ = problem.true_objective(np.asarray(record.final_z), tolerance=tolerance)
+        f, _ = problem.true_objective(np.asarray(record.final_z))
         z_found[i] = record.final_z
         f_found[i] = f
         mask[i] = np.isfinite(f) and convergence_check(reference.objective, f)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .evolution import BOUND_WEIGHT, CROSSOVER, MUTATION, PENALTY_BASE, DeConfig, de_minimize, penalized_mdo_objective
 from .gp import DEFAULT_NUGGET, DEFAULT_RESTARTS, TrainedSurrogate, fit, posterior_mean
-from .mda import DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
+from .mda import REFERENCE_TOL, DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
 from .paths import DEFAULT_FEATURES, draw_path, eval_path
 from .problems import MdoProblem, TrainingSet, initial_doe_training_sets
 
@@ -59,7 +59,11 @@ RETIRED_SETTINGS = {
     "de_crossover": CROSSOVER,
     "penalty_base": PENALTY_BASE,
     "penalty_bound_weight": BOUND_WEIGHT,
+    "reference_tol": REFERENCE_TOL,
+    "gp_restarts": DEFAULT_RESTARTS,
 }
+# Settings that count something and must be whole numbers (``workers`` may also be None).
+INTEGER_SETTINGS = ("n_doe", "n_iter", "repeat", "seed", "n_features", "de_max_generations", "de_window", "workers")
 
 
 @dataclass(frozen=True)
@@ -78,37 +82,37 @@ class ExperimentConfig:
     seed: int = 0
     n_features: int = DEFAULT_FEATURES
     mda_tol: float = 1e-2
-    reference_tol: float = 1e-10
     out: str = "runs"
     workers: int | None = None
-    gp_restarts: int = DEFAULT_RESTARTS
     de_max_generations: int = DeConfig.max_generations
     de_window: int = DeConfig.window
     de_tol: float = DeConfig.tol
     recompute_reference: bool = False
 
     def __post_init__(self):
+        for name in INTEGER_SETTINGS:
+            value = getattr(self, name)
+            # bool is an int subclass, but a JSON ``true`` is no count.
+            if not (type(value) is int or (name == "workers" and value is None)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.repeat < 1:
             raise ValueError("repeat must be at least 1")
         if self.n_doe < 2:
             raise ValueError("n_doe must be at least 2")
         if self.n_iter < 0:
             raise ValueError("n_iter must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_features < 1:
             raise ValueError("n_features must be at least 1")
-        if self.gp_restarts < 0:
-            raise ValueError("gp_restarts must be non-negative")
-        # The layer configs validate their own fields; build them now so a bad value fails here,
-        # naming the setting where two of them build the same config.
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        # The layer configs validate their own fields; build them now so a bad value fails here.
         self.de_config(0)
-        for name, build in (
-            ("mda_tol", self.mda_config),
-            ("reference_tol", lambda: MdaConfig.reference(self.reference_tol)),
-        ):
-            try:
-                build()
-            except ValueError as exc:
-                raise ValueError(f"{name}={getattr(self, name)!r}: {exc}") from None
+        try:
+            self.mda_config()
+        except ValueError as exc:
+            raise ValueError(f"mda_tol={self.mda_tol!r}: {exc}") from None
 
     @classmethod
     def from_dict(cls, settings: dict) -> "ExperimentConfig":
@@ -160,29 +164,23 @@ class SurrogateSet:
     models: list[list[TrainedSurrogate]]
 
 
-def _fit_outputs(ts: TrainingSet, cfg: ExperimentConfig, rng, warm: list[TrainedSurrogate] | None = None):
+def _fit_outputs(ts: TrainingSet, rng, warm: list[TrainedSurrogate] | None = None):
     return [
-        fit(
-            ts.inputs,
-            ts.targets[:, j],
-            restarts=cfg.gp_restarts,
-            rng=rng,
-            warm_start=None if warm is None else warm[j].params,
-        )
+        fit(ts.inputs, ts.targets[:, j], rng=rng, warm_start=None if warm is None else warm[j].params)
         for j in range(ts.targets.shape[1])
     ]
 
 
-def fit_surrogate_set(training_sets, cfg: ExperimentConfig, rng) -> SurrogateSet:
+def fit_surrogate_set(training_sets, rng) -> SurrogateSet:
     rng = np.random.default_rng(rng)
-    return SurrogateSet(data=list(training_sets), models=[_fit_outputs(ts, cfg, rng) for ts in training_sets])
+    return SurrogateSet(data=list(training_sets), models=[_fit_outputs(ts, rng) for ts in training_sets])
 
 
-def refine_discipline(sset: SurrogateSet, m: int, x_new, y_new, cfg: ExperimentConfig, rng) -> None:
+def refine_discipline(sset: SurrogateSet, m: int, x_new, y_new, rng) -> None:
     """Append one (input, output) pair to discipline ``m`` and refit its surrogates.
 
     Hyperparameters are re-optimized from scratch, warm-started at the
-    previous optimum in addition to the standard restarts.
+    previous optimum in addition to ``fit``'s default restarts.
     """
     rng = np.random.default_rng(rng)
     x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
@@ -190,7 +188,7 @@ def refine_discipline(sset: SurrogateSet, m: int, x_new, y_new, cfg: ExperimentC
     ts = sset.data[m]
     ts = TrainingSet(inputs=np.vstack([ts.inputs, x_new]), targets=np.vstack([ts.targets, y_new]))
     sset.data[m] = ts
-    sset.models[m] = _fit_outputs(ts, cfg, rng, warm=sset.models[m])
+    sset.models[m] = _fit_outputs(ts, rng, warm=sset.models[m])
 
 
 def _stacked(query, anchors):
@@ -299,7 +297,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
     path_rng = np.random.default_rng(seeds.paths)
 
     doe_sets = initial_doe_training_sets(problem, cfg.n_doe, doe_rng)
-    sset = fit_surrogate_set(doe_sets, cfg, doe_rng)
+    sset = fit_surrogate_set(doe_sets, doe_rng)
     t_doe = time.perf_counter()
 
     lo, hi = problem.y_bounds[:, 0], problem.y_bounds[:, 1]
@@ -329,7 +327,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
                 out = np.array([np.nan])
                 warnings.warn(f"discipline {m} failed at iteration {n}: {exc}", stacklevel=2)
             if np.all(np.isfinite(out)):
-                refine_discipline(sset, m, np.concatenate([z_hat, y_refine]), out, cfg, doe_rng)
+                refine_discipline(sset, m, np.concatenate([z_hat, y_refine]), out, doe_rng)
                 y_true = out.tolist()
                 refined = True
             else:

@@ -53,7 +53,6 @@ def test_criterion_1_sellar_study_desk_scale():
             n_iter=10,
             n_features=1000,
             mda_tol=1e-2,
-            reference_tol=1e-10,
             repeat=20,
             seed=20250808,
         )

@@ -54,7 +54,7 @@ class TestRunCommand:
             run_cli(["run", "--problem", "toy", "--n-doe", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("setting", [{"de_tol": float("nan")}, {"reference_tol": float("nan")}])
+    @pytest.mark.parametrize("setting", [{"de_tol": float("nan")}, {"mda_tol": float("nan")}])
     def test_nan_setting_in_config_file_is_one_error_line(self, tmp_path, capsys, setting):
         # json.dumps writes NaN, which json.load reads back as a float.
         cfg_file = tmp_path / "cfg.json"
@@ -67,6 +67,16 @@ class TestRunCommand:
         assert len(errors) == 1
         assert "tolerance" in errors[0]
         assert not out.exists()
+
+    def test_config_file_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("[1, 2]")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "JSON object" in errors[0]
+        assert not (tmp_path / "runs").exists()
 
     def test_retired_setting_in_config_file_is_unknown(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -117,16 +127,31 @@ class TestStudyCommand:
         assert "window must be positive" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_reference_tol_rejected_before_any_run(self, tmp_path, capsys):
-        # The reference tolerance is first used after every replicate has run.
+    def test_reference_tol_in_config_file_is_an_unknown_setting(self, tmp_path, capsys):
+        # The reference tolerance is a constant, not a setting, so a file that sets it is refused before any run.
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 3, "n_iter": 1, "reference_tol": -1}))
+        cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 3, "n_iter": 1, "reference_tol": 1e-10}))
         out = tmp_path / "study"
         with pytest.raises(SystemExit) as exc:
             run_cli(["study", "--config", str(cfg_file), "--repeat", "1", "--workers", "1", "--out", str(out)])
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "reference_tol" in errors[0] and "tolerance" in errors[0]
+        assert len(errors) == 1 and "unknown setting 'reference_tol'" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [{"n_features": 10.5}, {"seed": -1}, {"n_iter": True}, {"workers": 0}])
+    def test_bad_count_in_config_file_rejected_before_any_run(self, tmp_path, capsys, setting):
+        # Unchecked, each of these fails every replicate while the study exits 0, raises a traceback,
+        # or runs with another value than the one written.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 3, "n_iter": 1, "workers": 1, **setting}))
+        out = tmp_path / "study"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["study", "--config", str(cfg_file), "--repeat", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        (name,) = setting
+        assert len(errors) == 1 and name in errors[0]
         assert not out.exists()
 
     def test_negative_mda_tol_rejected_before_any_run(self, tmp_path, capsys):

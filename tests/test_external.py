@@ -467,7 +467,7 @@ class TestExternalProblem:
     def test_run_replicate_and_study_leave_no_child_running(self, tmp_path, started_children):
         cfg = ExperimentConfig(
             problem="external", external_cmd=write_spec(tmp_path), n_doe=2, n_iter=1, n_features=50,
-            de_max_generations=5, gp_restarts=1, workers=1,
+            de_max_generations=5, workers=1,
         )
         record = run_replicate(cfg, 0)
         assert record.evaluations_per_discipline() == [3]

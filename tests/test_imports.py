@@ -1,5 +1,7 @@
 """Import cost: a process that never fits or queries a GP never loads SciPy.
 
+That holds for the parent of a pooled study too: its workers fit the GPs.
+
 Each check runs in a fresh interpreter, since this test session has long
 since loaded SciPy through other tests.
 """
@@ -42,6 +44,13 @@ with load_external_problem(spec) as problem:
 assert abs(ref.objective - 3.0) < 1e-6, ref
 note("resolve_reference on an external problem")
 
+from mdots.study import ExperimentConfig, run_study
+
+cfg = ExperimentConfig(problem="toy", n_doe=2, n_iter=0, repeat=2, workers=2, n_features=16, de_max_generations=5)
+records, summary = run_study(cfg)
+assert [r.replicate for r in records] == [0, 1] and summary.n_runs == 2, summary
+note("run_study on a pool of two workers")
+
 import numpy as np
 from mdots.gp import fit, posterior_variance
 from mdots.paths import draw_path, eval_path
@@ -69,5 +78,6 @@ def test_scipy_loads_at_the_first_fit_only():
         "import mdots": False,
         "mdots reference --recompute-reference": False,
         "resolve_reference on an external problem": False,
+        "run_study on a pool of two workers": False,
         "fit, draw_path, posterior_variance": True,
     }

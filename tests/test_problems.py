@@ -134,7 +134,7 @@ class TestInitialDoe:
         for i, ts in enumerate(sets):
             assert ts.inputs.shape == (5, 4)
             assert ts.targets.shape == (5, 1)
-            box = np.vstack([problem.z_bounds, problem.coupling_input_bounds(i)])
+            box = np.vstack([problem.z_bounds, problem.y_bounds[problem.disciplines[i].consumes]])
             assert np.all(ts.inputs > box[:, 0]) and np.all(ts.inputs < box[:, 1])
 
     def test_toy_counts(self):

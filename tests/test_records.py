@@ -44,6 +44,8 @@ OLD_HEADER_SETTINGS = {
     "de_crossover": 0.9,
     "penalty_base": 1000.0,
     "penalty_bound_weight": 100.0,
+    "reference_tol": 1e-10,
+    "gp_restarts": 4,
 }
 
 
@@ -138,10 +140,8 @@ class TestRelaunch:
             "seed",
             "n_features",
             "mda_tol",
-            "reference_tol",
             "out",
             "workers",
-            "gp_restarts",
             "de_max_generations",
             "de_window",
             "de_tol",
@@ -163,9 +163,10 @@ class TestRelaunch:
 
     def test_retired_setting_off_its_constant_is_refused(self):
         record = small_record(seed=5)
-        old = dataclasses.replace(record, config={**record.config, **OLD_HEADER_SETTINGS, "de_mutation": 0.5})
-        with pytest.raises(ValueError, match="retired setting 'de_mutation'"):
-            run_from_record(old)
+        for name, value in (("de_mutation", 0.5), ("gp_restarts", 1)):
+            old = dataclasses.replace(record, config={**record.config, **OLD_HEADER_SETTINGS, name: value})
+            with pytest.raises(ValueError, match=f"retired setting '{name}'"):
+                run_from_record(old)
 
     def test_library_run_relaunches_and_reports(self, tmp_path):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=1, de_max_generations=60)
@@ -246,7 +247,7 @@ class TestStudy:
         return widths
 
     def test_worker_count(self, monkeypatch, pool_widths):
-        # ``workers`` when set, at least one; one per usable CPU when unset; never more than ``repeat``.
+        # ``workers`` when set (the config refuses one below 1); one per usable CPU when unset; never more than ``repeat``.
         # (workers, os.cpu_count(), affinity set or None where the OS has no sched_getaffinity, pools opened);
         # a width of one runs the replicates without a pool.
         cases = [
@@ -256,8 +257,7 @@ class TestStudy:
             (None, None, None, []),
             (2, 8, {0}, [2]),
             (9, 8, None, [4]),
-            (0, 8, None, []),
-            (-3, 8, None, []),
+            (1, 8, None, []),
         ]
         for workers, cpus, affinity, pools in cases:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)

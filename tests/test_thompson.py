@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from mdots.evolution import DeConfig, de_minimize, penalized_mdo_objective
-from mdots.gp import posterior_variance
+from mdots.gp import fit, posterior_variance
 from mdots.mda import MdaConfig
 from mdots.problems import Discipline, MdoProblem, TrainingSet, sellar_problem, toy_problem
 from mdots.thompson import (
     ExperimentConfig,
+    SurrogateSet,
     convergence_check,
     fit_surrogate_set,
     mean_evaluators,
@@ -44,6 +45,12 @@ def single_discipline_problem():
     )
 
 
+def dense_surrogate_set(zs, targets, seed):
+    """One discipline's surrogate on dense data, fitted with one restart to keep the test quick."""
+    s = fit(zs, targets[:, 0], restarts=1, rng=np.random.default_rng(seed))
+    return SurrogateSet(data=[TrainingSet(inputs=zs, targets=targets)], models=[[s]])
+
+
 class TestRunBudget:
     def test_toy_budget_and_alternation(self):
         cfg = ExperimentConfig(n_doe=4, n_iter=3, seed=1)
@@ -66,7 +73,7 @@ class TestRunBudget:
 
         rng = np.random.default_rng(seeds.doe)
         sets = initial_doe_training_sets(problem, 4, rng)
-        sset = fit_surrogate_set(sets, cfg, rng)
+        sset = fit_surrogate_set(sets, rng)
         z, value = solve_surrogate_mdo(sset, problem, cfg.de_config(seeds.de), cfg.mda_config())
         np.testing.assert_array_equal(record.final_z, z.tolist())
         assert record.final_value == value
@@ -96,18 +103,25 @@ class TestRunBudget:
             {"de_window": 0},
             {"mda_tol": -1.0},
             {"mda_tol": float("inf")},
-            {"reference_tol": -1.0},
-            {"reference_tol": 0.0},
-            {"reference_tol": float("nan")},
-            {"reference_tol": float("inf")},
             {"n_features": 0},
-            {"gp_restarts": -3},
             {"de_tol": float("nan")},
             {"de_tol": -1.0},
+            # Counts must be integers, and a bool is not one.
+            {"n_features": 10.5},
+            {"seed": 1.5},
+            {"n_doe": 3.0},
+            {"repeat": 2.0},
+            {"n_iter": True},
+            {"de_max_generations": 50.0},
+            {"de_window": True},
+            {"workers": 2.0},
+            {"seed": -1},
+            {"workers": 0},
+            {"workers": -3},
         ],
     )
     def test_layer_settings_rejected_when_the_config_is_built(self, bad):
-        # The error names the setting; a DE setting by its DeConfig field.
+        # The error names the setting; a DE setting at least by its DeConfig field.
         (name,) = bad
         with pytest.raises(ValueError, match=name.removeprefix("de_")):
             ExperimentConfig(**bad)
@@ -142,7 +156,7 @@ class TestMonotoneInformation:
         from mdots.problems import initial_doe_training_sets
 
         sets = initial_doe_training_sets(problem, 4, rng)
-        sset = fit_surrogate_set(sets, cfg, rng)
+        sset = fit_surrogate_set(sets, rng)
         # replay the refinements through the log in the record
         from mdots.thompson import refine_discipline
 
@@ -150,7 +164,7 @@ class TestMonotoneInformation:
             if not entry.refined:
                 continue
             x = np.concatenate([entry.z_hat, entry.y_refine])
-            refine_discipline(sset, entry.discipline, x, entry.y_true, cfg, rng)
+            refine_discipline(sset, entry.discipline, x, entry.y_true, rng)
             for s in sset.models[entry.discipline]:
                 assert posterior_variance(s, x[None, :])[0] <= 2.0 * s.params.nugget * s.norm.output_std**2
 
@@ -171,7 +185,7 @@ class TestSolveRandomMdo:
         rng = np.random.default_rng(61)
         from mdots.problems import initial_doe_training_sets
 
-        sset = fit_surrogate_set(initial_doe_training_sets(problem, 4, rng), ExperimentConfig(), rng)
+        sset = fit_surrogate_set(initial_doe_training_sets(problem, 4, rng), rng)
         path_rng = np.random.default_rng(62)
         ev1 = path_evaluators(sset, 400, path_rng)
         ev2 = path_evaluators(sset, 400, path_rng)
@@ -186,9 +200,7 @@ class TestSolveRandomMdo:
         problem = single_discipline_problem()
         zs = np.linspace(0.0, 6.0, 120)[:, None]
         targets = problem.disciplines[0].fn(zs, np.zeros((120, 0)))[:, None]
-        sset = fit_surrogate_set(
-            [TrainingSet(inputs=zs, targets=targets)], ExperimentConfig(gp_restarts=1), np.random.default_rng(71)
-        )
+        sset = dense_surrogate_set(zs, targets, 71)
         mda = MdaConfig(tolerance=1e-4, max_iterations=50)
         path_rng = np.random.default_rng(72)
         values = []
@@ -204,9 +216,7 @@ class TestSolveSurrogateMdo:
         problem = single_discipline_problem()
         zs = np.linspace(0.0, 6.0, 120)[:, None]
         targets = problem.disciplines[0].fn(zs, np.zeros((120, 0)))[:, None]
-        sset = fit_surrogate_set(
-            [TrainingSet(inputs=zs, targets=targets)], ExperimentConfig(gp_restarts=1), np.random.default_rng(81)
-        )
+        sset = dense_surrogate_set(zs, targets, 81)
         mda = MdaConfig(tolerance=1e-6, max_iterations=50)
         z_sur, value_sur = solve_surrogate_mdo(sset, problem, DeConfig(seed=82), mda)
 
@@ -272,7 +282,7 @@ class TestEvaluators:
         from mdots.gp import posterior_mean
         from mdots.problems import initial_doe_training_sets
 
-        sset = fit_surrogate_set(initial_doe_training_sets(problem, 5, rng), ExperimentConfig(), rng)
+        sset = fit_surrogate_set(initial_doe_training_sets(problem, 5, rng), rng)
         ev = mean_evaluators(sset)
         Z = np.array([[1.0], [-2.0]])
         Yin = np.array([[0.5], [3.0]])
