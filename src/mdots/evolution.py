@@ -157,7 +157,7 @@ def penalized_mdo_objective(evaluators, problem: MdoProblem, mda_cfg: MdaConfig)
 
     def objective(Z):
         Z = np.asarray(Z, dtype=float)
-        res = solve_batch(disciplines, Z, np.tile(midpoint, (Z.shape[0], 1)), mda_cfg)
+        res = solve_batch(disciplines, Z, midpoint[None, :], mda_cfg)
         with np.errstate(all="ignore"):
             f = np.asarray(problem.objective(Z, res.y), dtype=float)
         viol = (np.maximum(lo - res.y, 0.0) + np.maximum(res.y - hi, 0.0)) / width

@@ -156,13 +156,8 @@ def _norm_stats(X: np.ndarray, y: np.ndarray) -> NormStats:
 
 def _dedup_keep_latest(X_norm: np.ndarray) -> np.ndarray:
     """Indices surviving the merge of near-identical rows; later rows win."""
-    n = X_norm.shape[0]
-    keep = []
-    for i in range(n):
-        d = np.abs(X_norm[i + 1 :] - X_norm[i]).max(axis=1) if i + 1 < n else np.empty(0)
-        if not np.any(d < DUPLICATE_TOL):
-            keep.append(i)
-    return np.asarray(keep, dtype=int)
+    d = np.abs(X_norm[:, None, :] - X_norm[None, :, :]).max(axis=-1)
+    return np.flatnonzero(~np.triu(d < DUPLICATE_TOL, 1).any(axis=1))
 
 
 def _chol_with_escalation(params: KernelParams, X_norm: np.ndarray):
@@ -221,7 +216,7 @@ def fit(
     y,
     *,
     restarts: int = DEFAULT_RESTARTS,
-    rng=None,
+    rng,
     warm_start: KernelParams | None = None,
 ) -> TrainedSurrogate:
     """Fit hyperparameters by maximizing the log marginal likelihood.

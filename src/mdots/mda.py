@@ -6,8 +6,9 @@ candidate carrying its own coupling state, relaxation factor and status.
 A row whose residual has stopped falling is retired before the sweep cap
 (a stall exit) with the cap's status. Non-convergence and evaluator
 failures are reported as data so callers can penalize instead of aborting.
-There is one result type, ``CouplingResult``, with one row per design
-point; a solve of a single point is a batch of one.
+``evaluate``, the one call of a discipline (sweeps, DoE, refinements),
+applies the problem interface's two failure channels. There is one result
+type, ``CouplingResult``; a solve of a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "MdaConfig",
     "CouplingResult",
     "aitken_update",
+    "evaluate",
     "gauss_seidel_solve",
     "solve_batch",
 ]
@@ -88,6 +90,23 @@ class CouplingResult:
     failure: str | None = None
 
 
+def evaluate(disc, Z: np.ndarray, Y_in: np.ndarray):
+    """Call ``disc`` on ``(Z, Y_in)``: its ``(n, n_out)`` outputs, all NaN if it raised ``DisciplineFailure``.
+
+    Also returns a failure note naming the discipline and the cause, or None
+    when every row is finite. An output of the wrong size raises
+    ``ValueError``. Callers hold ``np.errstate``: a sweep enters it once.
+    """
+    n = Z.shape[0]
+    try:
+        out = np.asarray(disc.fn(Z, Y_in), dtype=float).reshape(n, disc.produces.size)
+    except DisciplineFailure as exc:
+        return np.full((n, disc.produces.size), np.nan), f"discipline {disc.name!r}: {exc}"
+    if np.isfinite(out).all():
+        return out, None
+    return out, f"discipline {disc.name!r} returned non-finite output"
+
+
 def aitken_update(omega: np.ndarray, delta_prev: np.ndarray, delta_curr: np.ndarray) -> np.ndarray:
     """Next relaxation factor of each row from two consecutive sweep updates.
 
@@ -121,9 +140,10 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
     residual before them. Convergence is checked first, so a row that meets
     the tolerance on that sweep counts as converged.
 
-    Failures: a non-finite output row fails that row only, and is the only
-    per-row failure channel. A ``DisciplineFailure`` raised by an evaluator
-    fails every row still active in that call, with one failure note.
+    Failures (see ``evaluate``): a non-finite output row fails that row
+    only. A raised ``DisciplineFailure`` fails every row still active in
+    that call, with one failure note. Once every active row has failed, the
+    sweep calls no later discipline.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     n = Z.shape[0]
@@ -169,18 +189,14 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
         failed = None
         with np.errstate(all="ignore"):
             for disc in disciplines:
-                try:
-                    out = np.asarray(disc.fn(Z_act, y_new[:, disc.consumes]), dtype=float)
-                except DisciplineFailure as exc:
-                    failed = np.ones(idx.size, dtype=bool)
-                    failure_note = failure_note or f"discipline {disc.name!r}: {exc}"
-                    break
-                out = out.reshape(idx.size, disc.produces.size)
-                if not np.isfinite(out).all():
+                out, note = evaluate(disc, Z_act, y_new[:, disc.consumes])
+                y_new[:, disc.produces] = out
+                if note is not None:
                     bad = ~np.isfinite(out).all(axis=1)
                     failed = bad if failed is None else failed | bad
-                    failure_note = failure_note or f"discipline {disc.name!r} returned non-finite output"
-                y_new[:, disc.produces] = out
+                    failure_note = failure_note or note
+                    if failed.all():  # no row is left for the later disciplines
+                        break
 
         if failed is not None:  # a failed row keeps its last valid iterate
             retire(failed, MdaStatus.EVALUATOR_FAILURE, sweep)

@@ -5,7 +5,8 @@ each discipline produces some components and consumes the components
 produced by the others. Discipline callables are batch-first,
 ``fn(Z, Y_in) -> (n, n_out)``. A non-finite output row fails that row
 alone, and is the only way to fail rows one by one. A callable that raises
-``mda.DisciplineFailure`` fails every row of that call.
+``mda.DisciplineFailure`` fails every row of that call. ``mda.evaluate``
+applies both rules wherever a discipline is called.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mda import REFERENCE_TOL, DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
+from .mda import REFERENCE_TOL, MdaConfig, MdaStatus, evaluate, gauss_seidel_solve
 
 __all__ = [
     "Discipline",
@@ -208,9 +209,9 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
     """Independent per-discipline DoE over the design box joined with each
     discipline's coupling-input bounds; no coupled solve is needed.
 
-    Rows where the discipline returns non-finite values are dropped with a
-    warning, and a raised ``DisciplineFailure`` drops every row of that
-    discipline's batch the same way; fewer than two survivors is an error.
+    Rows that ``mda.evaluate`` fails are dropped with a warning: a
+    non-finite row alone, every row of the batch on a raised
+    ``DisciplineFailure``. Fewer than two survivors is an error.
     """
     if n_doe < 2:
         raise ValueError("need at least two DoE points")
@@ -221,11 +222,8 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
         pts = lhs(box, n_doe, rng)
         Z = pts[:, : problem.d_z]
         Yin = pts[:, problem.d_z :]
-        try:
-            with np.errstate(all="ignore"):
-                out = np.asarray(disc.fn(Z, Yin), dtype=float).reshape(n_doe, disc.produces.size)
-        except DisciplineFailure:
-            out = np.full((n_doe, disc.produces.size), np.nan)
+        with np.errstate(all="ignore"):
+            out, _ = evaluate(disc, Z, Yin)
         ok = np.isfinite(out).all(axis=1)
         if not ok.all():
             warnings.warn(

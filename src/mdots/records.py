@@ -122,7 +122,7 @@ def load_records_dir(directory: str):
     for p in paths:
         try:
             records.append(load_run_record(os.path.join(directory, p)))
-        except (OSError, ValueError, KeyError, TypeError):  # json.JSONDecodeError is a ValueError
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):  # json.JSONDecodeError is a ValueError
             skipped += 1
     records.sort(key=lambda r: r.replicate)
     return records, skipped

@@ -20,7 +20,7 @@ import numpy as np
 
 from .evolution import BOUND_WEIGHT, CROSSOVER, MUTATION, PENALTY_BASE, DeConfig, de_minimize, penalized_mdo_objective
 from .gp import DEFAULT_NUGGET, DEFAULT_RESTARTS, TrainedSurrogate, fit, posterior_mean
-from .mda import REFERENCE_TOL, DisciplineFailure, MdaConfig, MdaStatus, gauss_seidel_solve
+from .mda import REFERENCE_TOL, MdaConfig, MdaStatus, evaluate, gauss_seidel_solve
 from .paths import DEFAULT_FEATURES, draw_path, eval_path
 from .problems import MdoProblem, TrainingSet, initial_doe_training_sets
 
@@ -285,10 +285,11 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
     """Run the full loop: DoE, n_iter refinement rounds, final mean solve.
 
     Every inner step refines exactly one discipline; a failed true
-    evaluation at a proposal skips that refinement with a warning and the
-    run continues. The seeds are those of replicate ``replicate`` of
-    ``cfg.seed``. The record embeds the config, with ``problem`` set to the
-    problem's id, so the run can be re-launched from the file alone.
+    evaluation at a proposal skips that refinement with one warning that
+    names the cause, and the run continues. The seeds are those of replicate
+    ``replicate`` of ``cfg.seed``. The record embeds the config, with
+    ``problem`` set to the problem's id, so the run can be re-launched from
+    the file alone.
     """
     seeds = replicate_seeds(cfg.seed, replicate)
     mda_cfg = cfg.mda_config()
@@ -316,25 +317,13 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
             y_refine = np.clip(y_cons, lo[cons], hi[cons])
             clamped = status != MdaStatus.CONVERGED or bool(np.any(y_refine != y_cons))
 
-            y_true = None
-            refined = False
-            try:
-                with np.errstate(all="ignore"):
-                    out = np.asarray(
-                        problem.disciplines[m].fn(z_hat[None, :], y_refine[None, :]), dtype=float
-                    ).reshape(-1)
-            except DisciplineFailure as exc:
-                out = np.array([np.nan])
-                warnings.warn(f"discipline {m} failed at iteration {n}: {exc}", stacklevel=2)
-            if np.all(np.isfinite(out)):
-                refine_discipline(sset, m, np.concatenate([z_hat, y_refine]), out, doe_rng)
-                y_true = out.tolist()
-                refined = True
+            with np.errstate(all="ignore"):
+                out, note = evaluate(problem.disciplines[m], z_hat[None, :], y_refine[None, :])
+            refined = note is None
+            if refined:
+                refine_discipline(sset, m, np.concatenate([z_hat, y_refine]), out[0], doe_rng)
             else:
-                warnings.warn(
-                    f"skipping refinement of discipline {m} at iteration {n} (failed evaluation)",
-                    stacklevel=2,
-                )
+                warnings.warn(f"skipping refinement of discipline {m} at iteration {n}: {note}", stacklevel=2)
 
             entries.append(
                 IterationEntry(
@@ -346,7 +335,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
                     clamped=clamped,
                     mda_status=str(status),
                     random_value=float(value),
-                    y_true=y_true,
+                    y_true=out[0].tolist() if refined else None,
                     refined=refined,
                 )
             )

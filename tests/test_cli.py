@@ -266,6 +266,16 @@ class TestReportCommand:
         assert "traces=1" in captured.out and "skipped=1" in captured.out
         assert "skipped 1 malformed or unreadable" in captured.err
 
+    def test_deeply_nested_record_skipped_and_counted(self, tmp_path, capsys, quick_args):
+        # Decoding this line exceeds the recursion limit; it is one unreadable record, not a failed report.
+        out = str(tmp_path / "study")
+        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        (tmp_path / "study" / "run_1.ndjson").write_text("[" * 100000 + "]" * 100000 + "\n")
+        capsys.readouterr()
+        assert run_cli(["report", out]) == 0
+        captured = capsys.readouterr()
+        assert "traces=1" in captured.out and "skipped=1" in captured.out
+
     def test_record_config_with_an_unknown_key_is_a_one_line_error(self, tmp_path, capsys, quick_args):
         # A record written by another version, e.g. one whose header still has a "gp" settings block.
         out = str(tmp_path / "runs")

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from mdots.gp import (
+    DUPLICATE_TOL,
     GpFitError,
     KernelParams,
+    _dedup_keep_latest,
     _neg_lml_and_grad,
     _solve_chol,
     fit,
@@ -103,6 +105,36 @@ class TestLogMarginalLikelihood:
         small = KernelParams(length_scales=[1.0], signal_variance=1.0, nugget=1e-7)
         huge = KernelParams(length_scales=[1.0], signal_variance=1e6, nugget=1e-7)
         assert lml_at(huge, Xn, y) < lml_at(small, Xn, y)
+
+
+def dedup_by_row_loop(X_norm):
+    """Reference for ``_dedup_keep_latest``: row i goes when a later row is within ``DUPLICATE_TOL`` of it."""
+    n = X_norm.shape[0]
+    keep = []
+    for i in range(n):
+        d = np.abs(X_norm[i + 1 :] - X_norm[i]).max(axis=1) if i + 1 < n else np.empty(0)
+        if not np.any(d < DUPLICATE_TOL):
+            keep.append(i)
+    return np.asarray(keep, dtype=int)
+
+
+class TestDedup:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_row_loop_on_planted_near_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(12, 3))
+        # Copies of random rows, moved by zero, by less than, by exactly and by more than the tolerance.
+        shifts = DUPLICATE_TOL * np.array([0.0, 0.5, 0.999, 1.0, 1.001, 2.0])
+        planted = X[rng.integers(0, 12, size=6)] + shifts[:, None] * rng.choice([-1.0, 1.0], size=(6, 3))
+        X = np.vstack([X, planted])[rng.permutation(18)]
+        got, want = _dedup_keep_latest(X), dedup_by_row_loop(X)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+        assert got.size < 18
+
+    def test_three_copies_keep_the_last(self):
+        X = np.array([[0.5], [0.1], [0.5], [0.5 + 0.5 * DUPLICATE_TOL]])
+        np.testing.assert_array_equal(_dedup_keep_latest(X), [1, 3])
 
 
 class TestFit:

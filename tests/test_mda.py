@@ -221,6 +221,94 @@ class TestBatchSolve:
         assert res.failure == "discipline 'flaky': solver crashed"
         assert np.isfinite(res.y).all()  # each row keeps its first-sweep iterate
 
+    def test_every_row_non_finite_skips_the_later_disciplines(self):
+        # Once no row is left, the sweep stops as it does after a raise.
+        calls = []
+
+        def nan_out(Z, Y):
+            calls.append("first")
+            return np.full((Z.shape[0], 1), np.nan)
+
+        def second(Z, Y):
+            calls.append("second")
+            return Y[:, 0] + 1.0
+
+        discs = [
+            Discipline("first", produces=[0], consumes=[1], fn=nan_out),
+            Discipline("second", produces=[1], consumes=[0], fn=second),
+        ]
+        res = solve_batch(discs, np.zeros((3, 1)), np.zeros((3, 2)), TIGHT)
+        assert calls == ["first"]
+        np.testing.assert_array_equal(res.status, [int(MdaStatus.EVALUATOR_FAILURE)] * 3)
+        np.testing.assert_array_equal(res.iterations, [1, 1, 1])
+        assert res.failure == "discipline 'first' returned non-finite output"
+
+    def test_one_non_finite_row_still_reaches_the_later_disciplines(self):
+        seen = []
+
+        def nan_row_1(Z, Y):
+            return np.where(Z[:, 0] == 2.0, np.nan, Y[:, 0] + Z[:, 0])
+
+        def second(Z, Y):
+            seen.append(Z.shape[0])
+            return 0.5 * Y[:, 0]
+
+        discs = [
+            Discipline("first", produces=[0], consumes=[1], fn=nan_row_1),
+            Discipline("second", produces=[1], consumes=[0], fn=second),
+        ]
+        res = solve_batch(discs, np.array([[1.0], [2.0], [3.0]]), np.zeros((3, 2)), TIGHT)
+        assert seen[0] == 3
+        np.testing.assert_array_equal(res.status, [0, int(MdaStatus.EVALUATOR_FAILURE), 0])
+
+
+class TestEvaluate:
+    """``mda.evaluate``: the one call of a discipline and its two failure channels."""
+
+    Z = np.array([[1.0], [2.0], [3.0]])
+    Y = np.array([[0.5], [0.25], [0.0]])
+
+    def test_finite_output_has_no_note(self):
+        disc = Discipline("d", produces=[0], consumes=[0], fn=lambda Z, Y: Z[:, 0] + Y[:, 0])
+        out, note = mda.evaluate(disc, self.Z, self.Y)
+        assert out.shape == (3, 1) and out.dtype == float
+        np.testing.assert_array_equal(out[:, 0], [1.5, 2.25, 3.0])
+        assert note is None
+
+    def test_one_non_finite_row(self):
+        def nan_row_1(Z, Y):
+            out = Z + Y
+            out[1, 0] = np.inf
+            return out
+
+        disc = Discipline("d", produces=[0], consumes=[0], fn=nan_row_1)
+        out, note = mda.evaluate(disc, self.Z, self.Y)
+        np.testing.assert_array_equal(np.isfinite(out[:, 0]), [True, False, True])
+        np.testing.assert_array_equal(out[[0, 2], 0], [1.5, 3.0])
+        assert note == "discipline 'd' returned non-finite output"
+
+    def test_raise_makes_every_row_nan(self):
+        def boom(Z, Y):
+            raise DisciplineFailure("solver crashed", kind="crash")
+
+        disc = Discipline("d", produces=[0, 1], consumes=[0], fn=boom)
+        out, note = mda.evaluate(disc, self.Z, self.Y)
+        assert out.shape == (3, 2) and np.isnan(out).all()
+        assert note == "discipline 'd': solver crashed"
+
+    def test_other_exceptions_propagate(self):
+        def broken(Z, Y):
+            raise ZeroDivisionError("a bug, not a discipline failure")
+
+        disc = Discipline("d", produces=[0], consumes=[0], fn=broken)
+        with pytest.raises(ZeroDivisionError):
+            mda.evaluate(disc, self.Z, self.Y)
+
+    def test_wrong_output_width_is_a_value_error(self):
+        disc = Discipline("d", produces=[0], consumes=[0], fn=lambda Z, Y: np.hstack([Z, Y]))
+        with pytest.raises(ValueError):
+            mda.evaluate(disc, self.Z, self.Y)
+
 
 class TestConfig:
     def test_validation(self):

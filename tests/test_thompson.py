@@ -6,7 +6,7 @@ import pytest
 
 from mdots.evolution import DeConfig, de_minimize, penalized_mdo_objective
 from mdots.gp import fit, posterior_variance
-from mdots.mda import MdaConfig
+from mdots.mda import DisciplineFailure, MdaConfig
 from mdots.problems import Discipline, MdoProblem, TrainingSet, sellar_problem, toy_problem
 from mdots.thompson import (
     ExperimentConfig,
@@ -258,6 +258,32 @@ class TestFailureHandling:
         # run continued: remaining entries present, budget reduced by one
         assert len(record.iterations) == 4
         assert record.evaluations_per_discipline() == [5, 6]
+
+    @pytest.mark.parametrize(
+        "channel, note",
+        [("raise", "discipline 'f1': solver crashed"), ("nan", "discipline 'f1' returned non-finite output")],
+    )
+    def test_failed_refinement_warns_once_with_its_cause(self, channel, note):
+        problem = toy_problem()
+        calls = {"n": 0}
+        original = problem.disciplines[0].fn
+
+        def flaky(Z, Yin):
+            calls["n"] += 1  # call 2 is the first refinement evaluation
+            if calls["n"] == 2:
+                if channel == "raise":
+                    raise DisciplineFailure("solver crashed", kind="crash")
+                return np.full(Z.shape[0], np.nan)
+            return original(Z, Yin)
+
+        flaky_disc = replace(problem.disciplines[0], fn=flaky)
+        flaky_problem = replace(problem, disciplines=(flaky_disc, problem.disciplines[1]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            record = run_mdo_ts(flaky_problem, ExperimentConfig(n_doe=4, n_iter=1, seed=91))
+        about_the_loop = [str(w.message) for w in caught if "iteration" in str(w.message)]
+        assert about_the_loop == [f"skipping refinement of discipline 0 at iteration 1: {note}"]
+        assert [e.refined for e in record.iterations] == [False, True]
 
 
 class TestConvergenceCheck:
