@@ -9,9 +9,9 @@ design and the coupling variables.
 
 from .external import load_external_problem
 from .problems import Discipline, MdoProblem, ReferenceSolution, sellar_problem, toy_problem
-from .records import load_run_record, records_equal, save_run_record
+from .records import RunRecord, load_run_record, records_equal, save_run_record
 from .study import StudySummary, resolve_reference, run_from_record, run_replicate, run_study, summarize
-from .thompson import ExperimentConfig, RunRecord, convergence_check, run_mdo_ts
+from .thompson import ExperimentConfig, convergence_check, run_mdo_ts
 
 __all__ = [
     "ExperimentConfig",

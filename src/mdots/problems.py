@@ -209,8 +209,8 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
     """Independent per-discipline DoE over the design box joined with each
     discipline's coupling-input bounds; no coupled solve is needed.
 
-    Rows that ``mda.evaluate`` fails are dropped with a warning: a
-    non-finite row alone, every row of the batch on a raised
+    Rows that ``mda.evaluate`` fails are dropped with a warning that gives
+    its note: a non-finite row alone, every row of the batch on a raised
     ``DisciplineFailure``. Fewer than two survivors is an error.
     """
     if n_doe < 2:
@@ -223,12 +223,11 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
         Z = pts[:, : problem.d_z]
         Yin = pts[:, problem.d_z :]
         with np.errstate(all="ignore"):
-            out, _ = evaluate(disc, Z, Yin)
+            out, note = evaluate(disc, Z, Yin)
         ok = np.isfinite(out).all(axis=1)
-        if not ok.all():
+        if note is not None:
             warnings.warn(
-                f"dropping {int((~ok).sum())} failed DoE point(s) for discipline {disc.name!r}",
-                stacklevel=2,
+                f"dropping {int((~ok).sum())} failed DoE point(s) for discipline {disc.name!r}: {note}", stacklevel=2
             )
         if ok.sum() < 2:
             raise RuntimeError(f"fewer than two usable DoE points for discipline {disc.name!r}")

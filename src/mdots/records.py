@@ -1,4 +1,4 @@
-"""Run-record persistence and plot-ready CSV emission.
+"""The run record: its types, its file format and plot-ready CSV emission.
 
 Records are line-delimited JSON (one object per line, same syntax as the
 subprocess wire protocol) with an explicit schema version, so files are
@@ -12,11 +12,12 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import asdict
-
-from .thompson import SCHEMA_VERSION, IterationEntry, RunRecord
+from dataclasses import asdict, dataclass, replace
 
 __all__ = [
+    "SCHEMA_VERSION",
+    "IterationEntry",
+    "RunRecord",
     "save_run_record",
     "load_run_record",
     "records_equal",
@@ -29,6 +30,54 @@ __all__ = [
 
 TRACE_COLUMNS = ["iteration", "discipline", "random_value", "best_value"]
 SUMMARY_COLUMNS = ["problem", "n_runs", "n_converged", "variable", "reference", "mean_converged", "mean_abs_pct_err"]
+SCHEMA_VERSION = 1
+
+
+@dataclass
+class IterationEntry:
+    """One inner step: proposal, coupling state, true evaluation, refinement flag."""
+
+    iteration: int
+    discipline: int
+    z_hat: list
+    y_hat: list
+    y_refine: list
+    clamped: bool
+    mda_status: str
+    random_value: float
+    y_true: list | None
+    refined: bool
+
+
+@dataclass
+class RunRecord:
+    """Everything one run produced, JSON-ready (plain lists and floats)."""
+
+    schema_version: int
+    problem: str
+    replicate: int
+    config: dict
+    doe: list
+    iterations: list
+    final_z: list
+    final_value: float
+    timing: dict
+
+    def evaluations_per_discipline(self) -> list[int]:
+        counts = [len(d["inputs"]) for d in self.doe]
+        for entry in self.iterations:
+            if entry.refined:
+                counts[entry.discipline] += 1
+        return counts
+
+
+# Each line kind a record holds once, and the ``RunRecord`` fields it fills.
+_SLOTS = {
+    "header": lambda obj: {key: obj[key] for key in ("schema_version", "problem", "replicate", "config")},
+    "doe": lambda obj: {"doe": obj["sets"]},
+    "final": lambda obj: {"final_z": obj["z"], "final_value": obj["value"]},
+    "timing": lambda obj: {"timing": obj},
+}
 
 
 def save_run_record(record: RunRecord, path: str) -> None:
@@ -61,53 +110,38 @@ def save_run_record(record: RunRecord, path: str) -> None:
 
 
 def load_run_record(path: str) -> RunRecord:
-    header = None
-    doe = None
+    """The record a file holds; an unknown, repeated or missing line kind is a ValueError."""
+    slots = {}
     iterations = []
-    final = None
-    timing = None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             obj = json.loads(line)
+            if type(obj) is not dict:
+                raise ValueError(f"record line is not a JSON object: {line.strip()[:40]}")
             kind = obj.pop("kind")
-            if kind == "header":
-                header = obj
-            elif kind == "doe":
-                doe = obj["sets"]
-            elif kind == "iteration":
+            if kind == "iteration":
                 iterations.append(IterationEntry(**obj))
-            elif kind == "final":
-                final = obj
-            elif kind == "timing":
-                timing = obj
-            else:
+            elif kind not in _SLOTS:
                 raise ValueError(f"unknown record line kind {kind!r}")
-    if header is None or doe is None or final is None or timing is None:
-        raise ValueError("incomplete run record")
-    if header["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {header['schema_version']}")
-    return RunRecord(
-        schema_version=header["schema_version"],
-        problem=header["problem"],
-        replicate=header["replicate"],
-        config=header["config"],
-        doe=doe,
-        iterations=iterations,
-        final_z=final["z"],
-        final_value=final["value"],
-        timing=timing,
-    )
+            elif kind in slots:
+                raise ValueError(f"run record has a second {kind} line")
+            else:
+                slots[kind] = _SLOTS[kind](obj)
+    missing = [kind for kind in _SLOTS if kind not in slots]
+    if missing:
+        raise ValueError(f"incomplete run record: no {', '.join(missing)} line")
+    record = RunRecord(iterations=iterations, **{name: v for fields in slots.values() for name, v in fields.items()})
+    if record.schema_version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {record.schema_version}")
+    return record
 
 
 def records_equal(a: RunRecord, b: RunRecord, ignore_timing: bool = True) -> bool:
-    da, db = asdict(a), asdict(b)
     if ignore_timing:
-        da.pop("timing")
-        db.pop("timing")
-    return da == db
+        a, b = replace(a, timing={}), replace(b, timing={})
+    return a == b
 
 
 def load_records_dir(directory: str):

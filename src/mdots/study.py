@@ -14,8 +14,8 @@ from .evolution import DeConfig, de_minimize, penalized_mdo_objective
 from .external import load_external_problem
 from .mda import REFERENCE_TOL, MdaConfig
 from .problems import MdoProblem, ReferenceSolution, sellar_problem, toy_problem
-from .records import save_run_record
-from .thompson import ExperimentConfig, RunRecord, convergence_check, run_mdo_ts
+from .records import RunRecord, save_run_record
+from .thompson import ExperimentConfig, convergence_check, run_mdo_ts
 
 __all__ = [
     "ExperimentConfig",

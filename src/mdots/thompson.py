@@ -23,14 +23,13 @@ from .gp import DEFAULT_NUGGET, DEFAULT_RESTARTS, TrainedSurrogate, fit, posteri
 from .mda import REFERENCE_TOL, MdaConfig, MdaStatus, evaluate, gauss_seidel_solve
 from .paths import DEFAULT_FEATURES, draw_path, eval_path
 from .problems import MdoProblem, TrainingSet, initial_doe_training_sets
+from .records import SCHEMA_VERSION, IterationEntry, RunRecord
 
 __all__ = [
     "ExperimentConfig",
     "Seeds",
     "replicate_seeds",
     "SurrogateSet",
-    "IterationEntry",
-    "RunRecord",
     "fit_surrogate_set",
     "refine_discipline",
     "path_evaluators",
@@ -41,7 +40,6 @@ __all__ = [
     "convergence_check",
 ]
 
-SCHEMA_VERSION = 1
 CONVERGENCE_THRESHOLD = 0.01
 PATH_SEED_OFFSET = 1_000_000
 DE_SEED_OFFSET = 2_000_000
@@ -107,12 +105,17 @@ class ExperimentConfig:
             raise ValueError("n_features must be at least 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be at least 1")
-        # The layer configs validate their own fields; build them now so a bad value fails here.
-        self.de_config(0)
-        try:
-            self.mda_config()
-        except ValueError as exc:
-            raise ValueError(f"mda_tol={self.mda_tol!r}: {exc}") from None
+        # The layer configs validate their own fields. Build one per setting, so a bad value fails here, named.
+        for name, layer, field in (
+            ("de_max_generations", DeConfig, "max_generations"),
+            ("de_window", DeConfig, "window"),
+            ("de_tol", DeConfig, "tol"),
+            ("mda_tol", MdaConfig, "tolerance"),
+        ):
+            try:
+                layer(**{field: getattr(self, name)})
+            except ValueError as exc:
+                raise ValueError(f"{name}={getattr(self, name)!r}: {exc}") from None
 
     @classmethod
     def from_dict(cls, settings: dict) -> "ExperimentConfig":
@@ -241,44 +244,6 @@ def convergence_check(f_ref: float, f_found: float) -> bool:
     if f_ref == 0.0:
         raise ValueError("reference objective of zero leaves the relative criterion undefined")
     return abs((f_ref - f_found) / f_ref) < CONVERGENCE_THRESHOLD
-
-
-@dataclass
-class IterationEntry:
-    """One inner step: proposal, coupling state, true evaluation, refinement flag."""
-
-    iteration: int
-    discipline: int
-    z_hat: list
-    y_hat: list
-    y_refine: list
-    clamped: bool
-    mda_status: str
-    random_value: float
-    y_true: list | None
-    refined: bool
-
-
-@dataclass
-class RunRecord:
-    """Everything one run produced, JSON-ready (plain lists and floats)."""
-
-    schema_version: int
-    problem: str
-    replicate: int
-    config: dict
-    doe: list
-    iterations: list
-    final_z: list
-    final_value: float
-    timing: dict
-
-    def evaluations_per_discipline(self) -> list[int]:
-        counts = [len(d["inputs"]) for d in self.doe]
-        for entry in self.iterations:
-            if entry.refined:
-                counts[entry.discipline] += 1
-        return counts
 
 
 def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -> RunRecord:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -35,3 +36,17 @@ def test_every_benchmark_hook_resolves(module, path):
     for part in path.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_records_owns_the_run_record_and_imports_no_other_mdots_module():
+    from mdots.records import IterationEntry, RunRecord
+
+    assert {RunRecord.__module__, IterationEntry.__module__} == {"mdots.records"}
+    tree = ast.parse(Path(mdots.records.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert [name for name in imported if name.startswith((".", "mdots"))] == []

@@ -276,6 +276,17 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert "traces=1" in captured.out and "skipped=1" in captured.out
 
+    def test_two_records_joined_in_one_file_skipped_and_counted(self, tmp_path, capsys, quick_args):
+        # One file holding both runs must not be traced and counted as one merged run.
+        out = tmp_path / "study"
+        assert run_cli(["study", *quick_args, "--n-iter", "1", "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
+        (out / "run_0.ndjson").write_text((out / "run_0.ndjson").read_text() + (out / "run_1.ndjson").read_text())
+        capsys.readouterr()
+        assert run_cli(["report", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "traces=1" in captured.out and "skipped=1" in captured.out
+        assert not (out / "trace_run_0.csv").exists()
+
     def test_record_config_with_an_unknown_key_is_a_one_line_error(self, tmp_path, capsys, quick_args):
         # A record written by another version, e.g. one whose header still has a "gp" settings block.
         out = str(tmp_path / "runs")

@@ -198,6 +198,16 @@ class TestInitialDoe:
             with pytest.raises(RuntimeError, match="fewer than two usable DoE points for discipline 'f1'"):
                 initial_doe_training_sets(problem, 4, np.random.default_rng(0))
 
+    def test_dropped_points_warning_gives_the_cause(self):
+        def down(Z, Yin):
+            raise DisciplineFailure("license server down")
+
+        toy = toy_problem()
+        problem = replace(toy, disciplines=(toy.disciplines[0], replace(toy.disciplines[1], fn=down)))
+        with pytest.warns(UserWarning, match=r"dropping 4 failed DoE point\(s\) for discipline 'f2': .*license server down"):
+            with pytest.raises(RuntimeError, match="fewer than two usable DoE points for discipline 'f2'"):
+                initial_doe_training_sets(problem, 4, np.random.default_rng(0))
+
 
 class TestWiring:
     def test_every_component_produced_once(self):

@@ -78,6 +78,48 @@ class TestRoundTrip:
         assert len(records) == 1
         assert skipped == 1
 
+    @pytest.mark.parametrize("kind", ["header", "doe", "final", "timing"])
+    def test_repeated_line_is_refused(self, tmp_path, kind):
+        path = tmp_path / "run_0.ndjson"
+        save_run_record(small_record(), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        (repeated,) = [line for line in lines if f'"kind": "{kind}"' in line]
+        path.write_text("".join(lines) + repeated)
+        with pytest.raises(ValueError, match=f"second {kind} line"):
+            load_run_record(str(path))
+
+    @pytest.mark.parametrize("kind", ["header", "doe", "final", "timing"])
+    def test_missing_line_is_named(self, tmp_path, kind):
+        path = tmp_path / "run_0.ndjson"
+        save_run_record(small_record(), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if f'"kind": "{kind}"' not in line))
+        with pytest.raises(ValueError, match=f"incomplete run record: no {kind} line"):
+            load_run_record(str(path))
+
+    def test_two_records_joined_in_one_file_are_skipped_not_merged(self, tmp_path):
+        # Loaded line by line, the join would read as one run with both runs' iterations.
+        cfg = ExperimentConfig(problem="toy", n_doe=3, n_iter=1, repeat=2, workers=1, de_max_generations=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records, _ = run_study(cfg, out_dir=str(tmp_path))
+        assert [r.evaluations_per_discipline() for r in records] == [[4, 4], [4, 4]]
+        joined = (tmp_path / "run_0.ndjson").read_text() + (tmp_path / "run_1.ndjson").read_text()
+        (tmp_path / "run_1.ndjson").unlink()
+        (tmp_path / "run_0.ndjson").write_text(joined)
+        with pytest.raises(ValueError, match="second header line"):
+            load_run_record(str(tmp_path / "run_0.ndjson"))
+        assert load_records_dir(str(tmp_path)) == ([], 1)
+
+    @pytest.mark.parametrize("line", ["5", '"header"', "[1, 2]", "null"])
+    def test_line_that_is_not_an_object_is_refused(self, tmp_path, line):
+        path = tmp_path / "run_0.ndjson"
+        save_run_record(small_record(), str(path))
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_run_record(str(path))
+        assert load_records_dir(str(tmp_path)) == ([], 1)
+
 
 class TestCsvOutputs:
     def test_trace_columns_and_running_best(self, tmp_path):
