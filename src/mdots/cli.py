@@ -16,14 +16,8 @@ import time
 import numpy as np
 
 from .records import load_records_dir, write_summary_csv, write_trace_csv
-from .study import (
-    ExperimentConfig,
-    build_problem,
-    resolve_reference,
-    run_replicate,
-    run_study,
-    summarize,
-)
+from .study import ExperimentConfig, build_problem, resolve_reference, run_replicate, run_study, summarize_study
+from .thompson import PROBLEMS
 
 __all__ = ["main"]
 
@@ -35,7 +29,7 @@ _ALIASES = {"features": "n_features"}
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with defaults for any flag")
-    parser.add_argument("--problem", choices=["toy", "sellar", "external"])
+    parser.add_argument("--problem", choices=PROBLEMS)
     parser.add_argument("--external-cmd", help="path to an external problem spec (JSON)")
     parser.add_argument("--n-doe", type=int)
     parser.add_argument("--n-iter", type=int)
@@ -115,18 +109,15 @@ def _cmd_report(args, parser) -> int:
     if not records:
         print(f"error: no records found in {records_dir}", file=sys.stderr)
         return 1
+    summary = summarize_study(ExperimentConfig.from_dict(records[0].config), records)
     os.makedirs(out_dir, exist_ok=True)
     for record in records:
         write_trace_csv(record, os.path.join(out_dir, f"trace_run_{record.replicate}.csv"))
-    cfg = ExperimentConfig.from_dict(records[0].config)
-    with build_problem(cfg) as problem:
-        reference = resolve_reference(problem, recompute=cfg.recompute_reference)
-        summary = summarize(problem, records, reference)
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
     write_summary_csv(summary, aggregate_path)
     print(f"traces={len(records)} aggregate={aggregate_path} skipped={skipped}")
     if skipped:
-        print(f"warning: skipped {skipped} malformed or unreadable record file(s)", file=sys.stderr)
+        print(f"warning: skipped {skipped} malformed or unreadable record file(s) or repeated replicate(s)", file=sys.stderr)
     return 0
 
 

@@ -145,21 +145,22 @@ def records_equal(a: RunRecord, b: RunRecord, ignore_timing: bool = True) -> boo
 
 
 def load_records_dir(directory: str):
-    """All readable records in a directory, sorted by replicate; plus skip count.
+    """The readable records in a directory, one per replicate and sorted by replicate; plus skip count.
 
     An entry that cannot be opened or read (a directory named like a record,
     a file without read permission) is skipped and counted like a malformed one.
+    So is a file of a replicate that a file earlier in name order already holds.
     """
     paths = sorted(p for p in os.listdir(directory) if p.endswith(".ndjson"))
-    records = []
-    skipped = 0
+    by_replicate = {}
     for p in paths:
         try:
-            records.append(load_run_record(os.path.join(directory, p)))
+            record = load_run_record(os.path.join(directory, p))
         except (OSError, ValueError, KeyError, TypeError, RecursionError):  # json.JSONDecodeError is a ValueError
-            skipped += 1
-    records.sort(key=lambda r: r.replicate)
-    return records, skipped
+            continue
+        by_replicate.setdefault(record.replicate, record)
+    # Every file not kept was skipped: unreadable, malformed or a repeat.
+    return [by_replicate[k] for k in sorted(by_replicate)], len(paths) - len(by_replicate)
 
 
 def write_trace_csv(record: RunRecord, path: str) -> None:

@@ -27,6 +27,7 @@ __all__ = [
     "run_from_record",
     "resolve_reference",
     "summarize",
+    "summarize_study",
 ]
 
 log = logging.getLogger(__name__)
@@ -54,15 +55,12 @@ class StudySummary:
 
 
 def build_problem(cfg: ExperimentConfig) -> MdoProblem:
+    """The problem ``cfg`` names; ``ExperimentConfig`` has already refused one it cannot build."""
     if cfg.problem == "toy":
         return toy_problem()
     if cfg.problem == "sellar":
         return sellar_problem()
-    if cfg.problem == "external":
-        if not cfg.external_cmd:
-            raise ValueError("problem 'external' requires external_cmd (path to a problem spec)")
-        return load_external_problem(cfg.external_cmd)
-    raise ValueError(f"unknown problem {cfg.problem!r}")
+    return load_external_problem(cfg.external_cmd)
 
 
 def run_replicate(cfg: ExperimentConfig, k: int, out_dir: str | None = None) -> RunRecord:
@@ -139,11 +137,14 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
     for k in sorted(failures):
         warnings.warn(f"replicate {k} failed: {failures[k]}", stacklevel=2)
     records.sort(key=lambda r: r.replicate)
+    return records, summarize_study(cfg, records, n_runs=cfg.repeat)
 
+
+def summarize_study(cfg: ExperimentConfig, records, n_runs: int | None = None) -> StudySummary:
+    """The study table of ``records``, judged against the reference of the problem ``cfg`` names."""
     with build_problem(cfg) as problem:
         reference = resolve_reference(problem, recompute=cfg.recompute_reference)
-        summary = summarize(problem, records, reference, n_runs=cfg.repeat)
-    return records, summary
+        return summarize(problem, records, reference, n_runs=n_runs)
 
 
 def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: float = REFERENCE_TOL) -> ReferenceSolution:
@@ -161,12 +162,15 @@ def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs
     """Apply the relative convergence criterion and average the converged runs.
 
     ``n_runs`` defaults to the number of records; a study that lost
-    replicates to hard failures passes the intended count explicitly.
+    replicates to hard failures passes the intended count explicitly. A
+    record of another problem is a ValueError.
     """
     z_found = np.empty((len(records), problem.d_z))
     f_found = np.empty(len(records))
     mask = np.zeros(len(records), dtype=bool)
     for i, record in enumerate(records):
+        if record.problem != problem.problem_id:
+            raise ValueError(f"a record of problem {record.problem!r} in a summary of {problem.problem_id!r}")
         f, _ = problem.true_objective(np.asarray(record.final_z))
         z_found[i] = record.final_z
         f_found[i] = f

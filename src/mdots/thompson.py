@@ -60,8 +60,12 @@ RETIRED_SETTINGS = {
     "reference_tol": REFERENCE_TOL,
     "gp_restarts": DEFAULT_RESTARTS,
 }
-# Settings that count something and must be whole numbers (``workers`` may also be None).
-INTEGER_SETTINGS = ("n_doe", "n_iter", "repeat", "seed", "n_features", "de_max_generations", "de_window", "workers")
+# The problems ``study.build_problem`` builds; ``external`` also needs ``external_cmd``.
+PROBLEMS = ("toy", "sellar", "external")
+# Settings that count something: each a whole number (``workers`` may also be None) at or above its
+# least value. None leaves the range to ``DeConfig``, which owns that rule.
+COUNT_SETTINGS = {"n_doe": 2, "n_iter": 0, "repeat": 1, "seed": 0, "n_features": 1,
+                  "de_max_generations": None, "de_window": None, "workers": 1}
 
 
 @dataclass(frozen=True)
@@ -88,23 +92,19 @@ class ExperimentConfig:
     recompute_reference: bool = False
 
     def __post_init__(self):
-        for name in INTEGER_SETTINGS:
+        if self.problem not in PROBLEMS:
+            raise ValueError(f"unknown problem {self.problem!r}, not one of {', '.join(PROBLEMS)}")
+        if self.problem == "external" and not self.external_cmd:
+            raise ValueError("problem 'external' requires external_cmd (path to a problem spec)")
+        for name, least in COUNT_SETTINGS.items():
             value = getattr(self, name)
+            if name == "workers" and value is None:
+                continue
             # bool is an int subclass, but a JSON ``true`` is no count.
-            if not (type(value) is int or (name == "workers" and value is None)):
+            if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.repeat < 1:
-            raise ValueError("repeat must be at least 1")
-        if self.n_doe < 2:
-            raise ValueError("n_doe must be at least 2")
-        if self.n_iter < 0:
-            raise ValueError("n_iter must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.n_features < 1:
-            raise ValueError("n_features must be at least 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be at least 1")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}")
         # The layer configs validate their own fields. Build one per setting, so a bad value fails here, named.
         for name, layer, field in (
             ("de_max_generations", DeConfig, "max_generations"),

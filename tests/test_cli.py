@@ -174,6 +174,25 @@ class TestStudyCommand:
         assert "n_features" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [({"problem": "foo"}, "unknown problem 'foo'"), ({"problem": "external"}, "external_cmd")],
+        ids=["unknown", "external-without-spec"],
+    )
+    def test_problem_it_cannot_build_rejected_before_any_run(self, tmp_path, capsys, setting, message):
+        # Unchecked, each replicate fails with the same message and the study ends with it once more.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_doe": 3, "n_iter": 1, **setting}))
+        out = tmp_path / "study"
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
+            warnings.simplefilter("always")
+            main(["study", "--config", str(cfg_file), "--repeat", "2", "--workers", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not [w for w in caught if "replicate 0 failed" in str(w.message)]
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        assert not out.exists()
+
 
 class TestExternalSpecErrors:
     """A spec that cannot be used ends the command with one ``error:`` line and exit code 1, not a traceback."""
@@ -286,6 +305,45 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert "traces=1" in captured.out and "skipped=1" in captured.out
         assert not (out / "trace_run_0.csv").exists()
+
+    def test_replicate_held_by_two_files_counted_once(self, tmp_path, capsys, quick_args, monkeypatch):
+        import mdots.cli as cli_mod
+
+        out = tmp_path / "study"
+        assert run_cli(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
+        (out / "run_0_copy.ndjson").write_text((out / "run_0.ndjson").read_text())
+        traced = []
+        write = cli_mod.write_trace_csv
+
+        def counted_write(record, path):
+            traced.append(os.path.basename(path))
+            write(record, path)
+
+        monkeypatch.setattr(cli_mod, "write_trace_csv", counted_write)
+        capsys.readouterr()
+        assert run_cli(["report", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "traces=2" in captured.out and "skipped=1" in captured.out
+        assert "skipped 1 malformed or unreadable" in captured.err
+        assert traced == ["trace_run_0.csv", "trace_run_1.csv"]  # each replicate traced once
+        with open(out / "aggregate.csv", newline="") as fh:
+            assert {row["n_runs"] for row in csv.DictReader(fh)} == {"2"}
+
+    def test_records_of_two_problems_are_a_one_line_error(self, tmp_path, capsys, quick_args):
+        from mdots.study import ExperimentConfig, run_replicate
+
+        out = tmp_path / "mixed"
+        assert run_cli(["run", *quick_args, "--out", str(out)]) == 0
+        sellar = ExperimentConfig(problem="sellar", n_doe=2, n_iter=0, n_features=50, de_max_generations=5, de_window=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_replicate(sellar, 1, out_dir=str(out))
+        capsys.readouterr()
+        assert run_cli(["report", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'sellar'" in err[0] and "'toy'" in err[0]
+        assert not (out / "aggregate.csv").exists()
 
     def test_record_config_with_an_unknown_key_is_a_one_line_error(self, tmp_path, capsys, quick_args):
         # A record written by another version, e.g. one whose header still has a "gp" settings block.

@@ -78,6 +78,15 @@ class TestRoundTrip:
         assert len(records) == 1
         assert skipped == 1
 
+    def test_replicate_held_by_two_files_loaded_once(self, tmp_path):
+        # The first file in name order is kept; the later one is skipped and counted.
+        record = small_record()
+        save_run_record(record, str(tmp_path / "run_0.ndjson"))
+        save_run_record(dataclasses.replace(record, final_value=0.0), str(tmp_path / "run_0_copy.ndjson"))
+        records, skipped = load_records_dir(str(tmp_path))
+        assert skipped == 1
+        assert [r.final_value for r in records] == [record.final_value]
+
     @pytest.mark.parametrize("kind", ["header", "doe", "final", "timing"])
     def test_repeated_line_is_refused(self, tmp_path, kind):
         path = tmp_path / "run_0.ndjson"

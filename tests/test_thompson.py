@@ -128,6 +128,12 @@ class TestRunBudget:
         with pytest.raises(ValueError, match=f"^{name}[ =]"):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("name, least", [("n_doe", 2), ("n_iter", 0), ("repeat", 1), ("seed", 0),
+                                             ("n_features", 1), ("workers", 1)])
+    def test_count_below_its_least_value_is_named_with_it(self, name, least):
+        with pytest.raises(ValueError, match=f"^{name} must be at least {least}$"):
+            ExperimentConfig(**{name: least - 1})
+
 
 class TestReproducibility:
     def test_identical_seeds_identical_records(self):
