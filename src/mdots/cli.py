@@ -35,7 +35,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-iter", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--features", type=int, help="basis functions per sample path")
-    parser.add_argument("--mda-tol", type=float)
     parser.add_argument("--out", help="records directory")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--recompute-reference", action="store_true", default=None)

@@ -203,6 +203,11 @@ class ExternalDiscipline:
     """
 
     def __init__(self, command, *, n_outputs: int = 1, timeout: float = DEFAULT_TIMEOUT, name: str = "external"):
+        # Checked before the child starts: a bad deadline would otherwise fail rows or raise out of
+        # ``select``, which refuses a wait longer than TIMEOUT_MAX.
+        limit = threading.TIMEOUT_MAX
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0 < timeout <= limit:
+            raise ValueError(f"timeout must be a positive number of seconds up to {limit:g}, got {timeout!r}")
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.n_outputs = n_outputs
         self.timeout = timeout
@@ -329,10 +334,12 @@ def load_external_problem(spec: dict | str) -> MdoProblem:
     ``cmd``, ``produces``, ``consumes`` and optional ``timeout``; each reply
     carries one value per ``produces`` entry) and ``objective_cmd``, a child
     speaking the same protocol whose single output is the objective value at
-    (z, y_star). ``reference`` with keys ``z`` and ``objective`` is
-    optional. Close the problem to stop its children. An unreadable spec file,
-    a missing key or a value of the wrong type is a ``ValueError``, raised
-    after closing any child already started.
+    (z, y_star). The top-level ``timeout`` is the objective child's; every
+    ``timeout`` is a positive number of seconds up to ``threading.TIMEOUT_MAX``.
+    ``reference`` with keys ``z`` (one finite value per design variable) and
+    ``objective`` (finite) is optional. Close the problem to stop its
+    children. An unreadable spec file, a missing key or a value of the wrong
+    type is a ``ValueError``, raised after closing any child already started.
     """
     if isinstance(spec, str):
         try:

@@ -83,6 +83,11 @@ class MdoProblem:
         for d in self.disciplines:
             if np.any(d.consumes < 0) or np.any(d.consumes >= yb.shape[0]):
                 raise ValueError(f"discipline {d.name!r} consumes unknown coupling components")
+        ref = self.reference
+        if ref is not None and not (
+            np.shape(np.atleast_1d(ref.z)) == (zb.shape[0],) and np.all(np.isfinite(ref.z)) and np.isfinite(ref.objective)
+        ):
+            raise ValueError(f"reference must hold {zb.shape[0]} finite design values and a finite objective")
 
     def close(self) -> None:
         for resource in self.resources:

@@ -71,9 +71,21 @@ class RunRecord:
         return counts
 
 
+# The type each header field must have: a JSON ``true`` is no replicate number.
+_HEADER_TYPES = {"schema_version": int, "problem": str, "replicate": int, "config": dict}
+
+
+def _header(obj: dict) -> dict:
+    header = {key: obj[key] for key in _HEADER_TYPES}
+    for key, kind in _HEADER_TYPES.items():
+        if type(header[key]) is not kind:
+            raise ValueError(f"record header {key} must be of type {kind.__name__}, got {header[key]!r}")
+    return header
+
+
 # Each line kind a record holds once, and the ``RunRecord`` fields it fills.
 _SLOTS = {
-    "header": lambda obj: {key: obj[key] for key in ("schema_version", "problem", "replicate", "config")},
+    "header": _header,
     "doe": lambda obj: {"doe": obj["sets"]},
     "final": lambda obj: {"final_z": obj["z"], "final_value": obj["value"]},
     "timing": lambda obj: {"timing": obj},

@@ -43,13 +43,14 @@ __all__ = [
 CONVERGENCE_THRESHOLD = 0.01
 PATH_SEED_OFFSET = 1_000_000
 DE_SEED_OFFSET = 2_000_000
-# Sweep cap of every coupled solve of surrogate or path systems.
-MDA_MAX_ITERATIONS = 100
+# Settings of every coupled solve of surrogate or path systems.
+SURROGATE_MDA = MdaConfig(tolerance=1e-2, max_iterations=100)
 
 # Former settings and the constant each became. Record headers written while they
 # were settings hold them; ``from_dict`` accepts one only at its constant.
 RETIRED_SETTINGS = {
-    "mda_max_iterations": MDA_MAX_ITERATIONS,
+    "mda_tol": SURROGATE_MDA.tolerance,
+    "mda_max_iterations": SURROGATE_MDA.max_iterations,
     "gp_nugget": DEFAULT_NUGGET,
     "gp_isotropic": False,
     "de_population": None,  # None stood for the population rule, now the only one
@@ -83,7 +84,6 @@ class ExperimentConfig:
     repeat: int = 1
     seed: int = 0
     n_features: int = DEFAULT_FEATURES
-    mda_tol: float = 1e-2
     out: str = "runs"
     workers: int | None = None
     de_max_generations: int = DeConfig.max_generations
@@ -105,15 +105,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if least is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}")
-        # The layer configs validate their own fields. Build one per setting, so a bad value fails here, named.
-        for name, layer, field in (
-            ("de_max_generations", DeConfig, "max_generations"),
-            ("de_window", DeConfig, "window"),
-            ("de_tol", DeConfig, "tol"),
-            ("mda_tol", MdaConfig, "tolerance"),
-        ):
+        # DeConfig validates its own fields. Build one per setting, so a bad value fails here, named.
+        for name, field in (("de_max_generations", "max_generations"), ("de_window", "window"), ("de_tol", "tol")):
             try:
-                layer(**{field: getattr(self, name)})
+                DeConfig(**{field: getattr(self, name)})
             except ValueError as exc:
                 raise ValueError(f"{name}={getattr(self, name)!r}: {exc}") from None
 
@@ -139,10 +134,6 @@ class ExperimentConfig:
 
     def de_config(self, seed: int) -> DeConfig:
         return DeConfig(max_generations=self.de_max_generations, window=self.de_window, tol=self.de_tol, seed=seed)
-
-    def mda_config(self) -> MdaConfig:
-        """Coupled-solve settings for surrogate and path systems."""
-        return MdaConfig(tolerance=self.mda_tol, max_iterations=MDA_MAX_ITERATIONS)
 
 
 @dataclass(frozen=True)
@@ -257,7 +248,6 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
     the file alone.
     """
     seeds = replicate_seeds(cfg.seed, replicate)
-    mda_cfg = cfg.mda_config()
     t0 = time.perf_counter()
     doe_rng = np.random.default_rng(seeds.doe)
     path_rng = np.random.default_rng(seeds.paths)
@@ -274,7 +264,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
             evaluators = path_evaluators(sset, cfg.n_features, path_rng)
             de_cfg = cfg.de_config(seeds.de + solve_index)
             solve_index += 1
-            z_hat, state, value = solve_random_mdo(evaluators, problem, de_cfg, mda_cfg)
+            z_hat, state, value = solve_random_mdo(evaluators, problem, de_cfg, SURROGATE_MDA)
             y_hat, status = state.y[0], MdaStatus(int(state.status[0]))
 
             cons = problem.disciplines[m].consumes
@@ -307,7 +297,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
     t_loop = time.perf_counter()
 
     de_cfg = cfg.de_config(seeds.de + solve_index)
-    z_star, value_star = solve_surrogate_mdo(sset, problem, de_cfg, mda_cfg)
+    z_star, value_star = solve_surrogate_mdo(sset, problem, de_cfg, SURROGATE_MDA)
     t_final = time.perf_counter()
 
     return RunRecord(

@@ -52,7 +52,6 @@ def test_criterion_1_sellar_study_desk_scale():
             n_doe=5,
             n_iter=10,
             n_features=1000,
-            mda_tol=1e-2,
             repeat=20,
             seed=20250808,
         )

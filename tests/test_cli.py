@@ -54,7 +54,7 @@ class TestRunCommand:
             run_cli(["run", "--problem", "toy", "--n-doe", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("setting", [{"de_tol": float("nan")}, {"mda_tol": float("nan")}])
+    @pytest.mark.parametrize("setting", [{"de_tol": float("nan")}])
     def test_nan_setting_in_config_file_is_one_error_line(self, tmp_path, capsys, setting):
         # json.dumps writes NaN, which json.load reads back as a float.
         cfg_file = tmp_path / "cfg.json"
@@ -155,14 +155,17 @@ class TestStudyCommand:
         assert not out.exists()
 
     def test_negative_mda_tol_rejected_before_any_run(self, tmp_path, capsys):
+        # mda_tol is retired: the coupled-solve tolerance is a constant, so the setting is unknown.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 3, "n_iter": 1, "workers": 1, "mda_tol": -1.0}))
         out = tmp_path / "study"
-        argv = ["study", "--problem", "toy", "--n-doe", "3", "--n-iter", "1", "--mda-tol", "-1", "--workers", "1"]
-        with pytest.raises(SystemExit) as exc:
-            run_cli([*argv, "--out", str(out)])
-        assert exc.value.code == 2
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "mda_tol" in errors[0] and "reference_tol" not in errors[0]
-        assert not out.exists()
+        for argv, named in ((["--config", str(cfg_file)], "unknown setting 'mda_tol'"), (["--mda-tol", "-1"], "--mda-tol")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["study", "--problem", "toy", *argv, "--out", str(out)])
+            assert exc.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and named in errors[0]
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "study"])
     def test_zero_features_rejected_before_any_run(self, tmp_path, capsys, command):
@@ -328,6 +331,25 @@ class TestReportCommand:
         assert traced == ["trace_run_0.csv", "trace_run_1.csv"]  # each replicate traced once
         with open(out / "aggregate.csv", newline="") as fh:
             assert {row["n_runs"] for row in csv.DictReader(fh)} == {"2"}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("replicate", "0"), ("replicate", True), ("schema_version", "1"), ("problem", 5), ("config", [])],
+        ids=["replicate-str", "replicate-bool", "schema-version-str", "problem-int", "config-list"],
+    )
+    def test_header_of_the_wrong_type_skipped_and_counted(self, tmp_path, capsys, quick_args, field, value):
+        # Unchecked, a string replicate fails the report with a TypeError and a JSON true is taken for replicate 1.
+        out = tmp_path / "study"
+        assert run_cli(["study", *quick_args, "--repeat", "3", "--workers", "1", "--out", str(out)]) == 0
+        path = out / "run_0.ndjson"
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(json.dumps({**json.loads(header), field: value}) + "\n" + rest)
+        capsys.readouterr()
+        report = tmp_path / "report"
+        assert run_cli(["report", str(out), "--out", str(report)]) == 0
+        printed = capsys.readouterr().out.split()
+        assert "traces=2" in printed and "skipped=1" in printed
+        assert sorted(p.name for p in report.glob("trace_run_*.csv")) == ["trace_run_1.csv", "trace_run_2.csv"]
 
     def test_records_of_two_problems_are_a_one_line_error(self, tmp_path, capsys, quick_args):
         from mdots.study import ExperimentConfig, run_replicate

@@ -22,8 +22,8 @@ from mdots.evolution import (
 from mdots.mda import MdaConfig
 from mdots.problems import Discipline, MdoProblem, lhs, sellar_problem, toy_problem
 from mdots.study import resolve_reference
+from mdots.thompson import SURROGATE_MDA
 
-SURROGATE_MDA = MdaConfig(tolerance=1e-2, max_iterations=100)
 TIGHT_MDA = MdaConfig(tolerance=1e-10, max_iterations=300)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import time
 
@@ -497,6 +498,37 @@ class TestExternalProblem:
         del spec[key]
         with pytest.raises(ValueError, match=f"missing the key '{key}'"):
             load_external_problem(spec)
+        assert all(ev._proc.poll() is not None for ev in started_children)
+
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            {"z": [1.0, 2.0], "objective": 3.0},
+            {"z": [float("nan")], "objective": 3.0},
+            {"z": [1.0], "objective": float("inf")},
+        ],
+        ids=["z-too-long", "z-not-finite", "objective-not-finite"],
+    )
+    def test_reference_of_the_wrong_shape_is_a_value_error(self, tmp_path, started_children, reference):
+        # Unchecked, the study summary pairs each variable with another's reference and drops the rest.
+        with open(write_spec(tmp_path), encoding="utf-8") as fh:
+            spec = {**json.load(fh), "reference": reference}
+        with pytest.raises(ValueError, match="reference must hold 1 finite design values"):
+            load_external_problem(spec)
+        assert len(started_children) == 2
+        assert all(ev._proc.poll() is not None for ev in started_children)
+
+    @pytest.mark.parametrize("timeout", ["x", float("inf"), 1e10, float("nan"), 0, -1, True])
+    @pytest.mark.parametrize("owner", ["discipline", "objective"])
+    def test_bad_timeout_is_a_value_error_naming_it(self, tmp_path, started_children, owner, timeout):
+        # Unchecked, each of these fails every row, or raises out of a call that must return NaN rows.
+        with open(write_spec(tmp_path), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        (spec["disciplines"][0] if owner == "discipline" else spec)["timeout"] = timeout
+        with pytest.raises(ValueError, match=f"timeout must be .*, got {re.escape(repr(timeout))}$"):
+            load_external_problem(spec)
+        # The child with the bad timeout never starts; one started before it is stopped.
+        assert len(started_children) == (0 if owner == "discipline" else 1)
         assert all(ev._proc.poll() is not None for ev in started_children)
 
     def test_unreadable_spec_path_is_a_value_error_naming_it(self, tmp_path):

@@ -46,6 +46,7 @@ OLD_HEADER_SETTINGS = {
     "penalty_bound_weight": 100.0,
     "reference_tol": 1e-10,
     "gp_restarts": 4,
+    "mda_tol": 0.01,
 }
 
 
@@ -190,7 +191,6 @@ class TestRelaunch:
             "repeat",
             "seed",
             "n_features",
-            "mda_tol",
             "out",
             "workers",
             "de_max_generations",
@@ -214,7 +214,7 @@ class TestRelaunch:
 
     def test_retired_setting_off_its_constant_is_refused(self):
         record = small_record(seed=5)
-        for name, value in (("de_mutation", 0.5), ("gp_restarts", 1)):
+        for name, value in (("de_mutation", 0.5), ("gp_restarts", 1), ("mda_tol", 0.001)):
             old = dataclasses.replace(record, config={**record.config, **OLD_HEADER_SETTINGS, name: value})
             with pytest.raises(ValueError, match=f"retired setting '{name}'"):
                 run_from_record(old)

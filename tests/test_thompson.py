@@ -9,6 +9,7 @@ from mdots.gp import fit, posterior_variance
 from mdots.mda import DisciplineFailure, MdaConfig
 from mdots.problems import Discipline, MdoProblem, TrainingSet, sellar_problem, toy_problem
 from mdots.thompson import (
+    SURROGATE_MDA,
     ExperimentConfig,
     SurrogateSet,
     convergence_check,
@@ -74,7 +75,7 @@ class TestRunBudget:
         rng = np.random.default_rng(seeds.doe)
         sets = initial_doe_training_sets(problem, 4, rng)
         sset = fit_surrogate_set(sets, rng)
-        z, value = solve_surrogate_mdo(sset, problem, cfg.de_config(seeds.de), cfg.mda_config())
+        z, value = solve_surrogate_mdo(sset, problem, cfg.de_config(seeds.de), SURROGATE_MDA)
         np.testing.assert_array_equal(record.final_z, z.tolist())
         assert record.final_value == value
 
@@ -101,8 +102,6 @@ class TestRunBudget:
         "bad",
         [
             {"de_window": 0},
-            {"mda_tol": -1.0},
-            {"mda_tol": float("inf")},
             {"n_features": 0},
             {"de_tol": float("nan")},
             {"de_tol": -1.0},
