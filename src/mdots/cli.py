@@ -82,11 +82,12 @@ def _cmd_run(args, parser) -> int:
 
 def _cmd_study(args, parser) -> int:
     cfg = _resolve_config(args, parser)
+    # Made before any replicate runs: the summary needs it even when no record is saved, and an --out
+    # that names a file fails here, not after every replicate.
+    os.makedirs(cfg.out, exist_ok=True)
     started = time.perf_counter()
     records, summary = run_study(cfg, out_dir=cfg.out)
     elapsed = time.perf_counter() - started
-    # No record may have been saved (every replicate failed), so the directory may not exist yet.
-    os.makedirs(cfg.out, exist_ok=True)
     summary_path = os.path.join(cfg.out, "summary.csv")
     write_summary_csv(summary, summary_path)
     print(f"problem={summary.problem} runs={summary.n_runs} converged={summary.n_converged}")
@@ -154,7 +155,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ final design comes from the same machinery run on posterior means.
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -34,8 +35,7 @@ __all__ = [
     "refine_discipline",
     "path_evaluators",
     "mean_evaluators",
-    "solve_random_mdo",
-    "solve_surrogate_mdo",
+    "solve_mdo",
     "run_mdo_ts",
     "convergence_check",
 ]
@@ -92,6 +92,15 @@ class ExperimentConfig:
     recompute_reference: bool = False
 
     def __post_init__(self):
+        # A config file can give any setting any JSON type; a string "false" is truthy, and a bool is an int.
+        for name, wanted, ok in (
+            ("de_tol", "a real number", isinstance(self.de_tol, numbers.Real) and not isinstance(self.de_tol, bool)),
+            ("recompute_reference", "true or false", isinstance(self.recompute_reference, bool)),
+            ("out", "a string", isinstance(self.out, str)),
+            ("external_cmd", "a string or null", self.external_cmd is None or isinstance(self.external_cmd, str)),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {wanted}, got {getattr(self, name)!r}")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}, not one of {', '.join(PROBLEMS)}")
         if self.problem == "external" and not self.external_cmd:
@@ -210,23 +219,12 @@ def mean_evaluators(sset: SurrogateSet):
     return [_stacked(posterior_mean, models) for models in sset.models]
 
 
-def solve_random_mdo(evaluators, problem: MdoProblem, de_cfg: DeConfig, mda_cfg: MdaConfig):
-    """Minimize the penalized objective of one set of drawn evaluators.
+def solve_mdo(evaluators, problem: MdoProblem, de_cfg: DeConfig):
+    """Minimize the penalized coupled objective of one set of evaluators: drawn paths or posterior means.
 
-    Returns the winning design point, the ``CouplingResult`` of one re-solve
-    at that point (a batch of one; last iterate when unconverged) and the
-    penalized value.
+    Returns the winning design point and its penalized value.
     """
-    objective = penalized_mdo_objective(evaluators, problem, mda_cfg)
-    result = de_minimize(objective, problem.z_bounds, de_cfg)
-    state = gauss_seidel_solve(problem.bind(evaluators), result.z, problem.y_midpoint(), mda_cfg)
-    return result.z, state, result.value
-
-
-def solve_surrogate_mdo(sset: SurrogateSet, problem: MdoProblem, de_cfg: DeConfig, mda_cfg: MdaConfig):
-    """Minimize the penalized objective of the posterior-mean system."""
-    objective = penalized_mdo_objective(mean_evaluators(sset), problem, mda_cfg)
-    result = de_minimize(objective, problem.z_bounds, de_cfg)
+    result = de_minimize(penalized_mdo_objective(evaluators, problem, SURROGATE_MDA), problem.z_bounds, de_cfg)
     return result.z, result.value
 
 
@@ -258,13 +256,13 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
 
     lo, hi = problem.y_bounds[:, 0], problem.y_bounds[:, 1]
     entries: list[IterationEntry] = []
-    solve_index = 0
     for n in range(1, cfg.n_iter + 1):
         for m in range(problem.n_disciplines):
+            # One entry per step, so the entries so far count the solves so far.
             evaluators = path_evaluators(sset, cfg.n_features, path_rng)
-            de_cfg = cfg.de_config(seeds.de + solve_index)
-            solve_index += 1
-            z_hat, state, value = solve_random_mdo(evaluators, problem, de_cfg, SURROGATE_MDA)
+            z_hat, value = solve_mdo(evaluators, problem, cfg.de_config(seeds.de + len(entries)))
+            # The coupling at the proposal: a one-row re-solve (last iterate when unconverged).
+            state = gauss_seidel_solve(problem.bind(evaluators), z_hat, problem.y_midpoint(), SURROGATE_MDA)
             y_hat, status = state.y[0], MdaStatus(int(state.status[0]))
 
             cons = problem.disciplines[m].consumes
@@ -296,8 +294,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
             )
     t_loop = time.perf_counter()
 
-    de_cfg = cfg.de_config(seeds.de + solve_index)
-    z_star, value_star = solve_surrogate_mdo(sset, problem, de_cfg, SURROGATE_MDA)
+    z_star, value_star = solve_mdo(mean_evaluators(sset), problem, cfg.de_config(seeds.de + len(entries)))
     t_final = time.perf_counter()
 
     return RunRecord(

@@ -117,6 +117,17 @@ class TestStudyCommand:
         assert os.listdir(out) == ["summary.csv"]
         assert "runs=1 converged=0" in capsys.readouterr().out
 
+    def test_out_that_names_a_file_is_one_error_line_before_any_run(self, tmp_path, capsys, quick_args):
+        out = tmp_path / "taken"
+        out.write_text("")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", str(out)])
+        assert code == 1
+        assert not [w for w in caught if "failed" in str(w.message)]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+
     def test_invalid_layer_setting_rejected_before_any_run(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"problem": "toy", "de_window": 0}))
@@ -367,6 +378,28 @@ class TestReportCommand:
         assert "'sellar'" in err[0] and "'toy'" in err[0]
         assert not (out / "aggregate.csv").exists()
 
+    def test_out_that_names_a_file_is_a_one_line_error(self, tmp_path, capsys, quick_args):
+        out = str(tmp_path / "runs")
+        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        assert run_cli(["report", out, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
+
+    def test_record_config_with_a_setting_of_the_wrong_type_is_a_one_line_error(self, tmp_path, capsys, quick_args):
+        out = str(tmp_path / "runs")
+        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        path = os.path.join(out, "run_0.ndjson")
+        record = load_run_record(path)
+        record.config["de_tol"] = "x"
+        save_run_record(record, path)
+        capsys.readouterr()
+        assert run_cli(["report", out]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: de_tol ")
+
     def test_record_config_with_an_unknown_key_is_a_one_line_error(self, tmp_path, capsys, quick_args):
         # A record written by another version, e.g. one whose header still has a "gp" settings block.
         out = str(tmp_path / "runs")
@@ -388,6 +421,16 @@ class TestReferenceCommand:
         assert code == 0
         printed = capsys.readouterr().out
         assert "-2.8085" in printed and "2.6345" in printed
+
+    def test_recompute_reference_that_is_not_a_bool_is_one_error_line(self, tmp_path, capsys):
+        # The string "false" is truthy: unchecked, it re-solves the reference instead of printing the shipped one.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"problem": "toy", "recompute_reference": "false"}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["reference", "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "recompute_reference must be true or false" in errors[0]
 
     def test_recompute_toy_reference(self, capsys):
         code = run_cli(["reference", "--problem", "toy", "--recompute-reference"])

@@ -6,7 +6,7 @@ import pytest
 
 from mdots.evolution import DeConfig, de_minimize, penalized_mdo_objective
 from mdots.gp import fit, posterior_variance
-from mdots.mda import DisciplineFailure, MdaConfig
+from mdots.mda import DisciplineFailure, MdaConfig, gauss_seidel_solve
 from mdots.problems import Discipline, MdoProblem, TrainingSet, sellar_problem, toy_problem
 from mdots.thompson import (
     SURROGATE_MDA,
@@ -18,8 +18,7 @@ from mdots.thompson import (
     path_evaluators,
     replicate_seeds,
     run_mdo_ts,
-    solve_random_mdo,
-    solve_surrogate_mdo,
+    solve_mdo,
 )
 
 QUIET = {"category": UserWarning}
@@ -75,7 +74,7 @@ class TestRunBudget:
         rng = np.random.default_rng(seeds.doe)
         sets = initial_doe_training_sets(problem, 4, rng)
         sset = fit_surrogate_set(sets, rng)
-        z, value = solve_surrogate_mdo(sset, problem, cfg.de_config(seeds.de), SURROGATE_MDA)
+        z, value = solve_mdo(mean_evaluators(sset), problem, cfg.de_config(seeds.de))
         np.testing.assert_array_equal(record.final_z, z.tolist())
         assert record.final_value == value
 
@@ -119,6 +118,13 @@ class TestRunBudget:
             {"workers": -3},
             {"de_max_generations": 0},
             {"de_tol": 0.0},
+            # Settings of the wrong type, as a config file or a record header can hold them.
+            {"de_tol": "x"},
+            {"de_tol": None},
+            {"de_tol": True},
+            {"recompute_reference": "false"},
+            {"out": 5},
+            {"external_cmd": 5},
         ],
     )
     def test_layer_settings_rejected_when_the_config_is_built(self, bad):
@@ -145,7 +151,7 @@ class TestReproducibility:
 
     def test_different_path_seeds_generally_differ(self):
         # the seed moves all three streams; the path stream alone is covered
-        # by TestSolveRandomMdo.test_two_seeds_two_proposals
+        # by TestSolveMdo.test_two_seeds_two_proposals
         base = ExperimentConfig(n_doe=4, n_iter=1, seed=31)
         other = ExperimentConfig(n_doe=4, n_iter=1, seed=99)
         a = quiet_run(toy_problem(), base)
@@ -176,15 +182,14 @@ class TestMonotoneInformation:
                 assert posterior_variance(s, x[None, :])[0] <= 2.0 * s.params.nugget * s.norm.output_std**2
 
 
-class TestSolveRandomMdo:
+class TestSolveMdo:
     def test_true_disciplines_recover_sellar_reference(self):
         problem = sellar_problem()
         evaluators = [d.fn for d in problem.disciplines]
-        z, state, value = solve_random_mdo(
-            evaluators, problem, DeConfig(seed=51), MdaConfig(tolerance=1e-2, max_iterations=100)
-        )
+        z, value = solve_mdo(evaluators, problem, DeConfig(seed=51))
         np.testing.assert_allclose(z, [0.0, 2.6345, 0.0], atol=0.05)
         assert value == pytest.approx(-2.8085, abs=1e-2)
+        state = gauss_seidel_solve(problem.bind(evaluators), z, problem.y_midpoint(), SURROGATE_MDA)
         assert np.isfinite(state.y).all()
 
     def test_two_seeds_two_proposals(self):
@@ -196,9 +201,8 @@ class TestSolveRandomMdo:
         path_rng = np.random.default_rng(62)
         ev1 = path_evaluators(sset, 400, path_rng)
         ev2 = path_evaluators(sset, 400, path_rng)
-        mda = MdaConfig(tolerance=1e-2, max_iterations=100)
-        z1, _, _ = solve_random_mdo(ev1, problem, DeConfig(seed=64), mda)
-        z2, _, _ = solve_random_mdo(ev2, problem, DeConfig(seed=64), mda)
+        z1, _ = solve_mdo(ev1, problem, DeConfig(seed=64))
+        z2, _ = solve_mdo(ev2, problem, DeConfig(seed=64))
         assert not np.array_equal(z1, z2)
         for z in (z1, z2):
             assert problem.z_bounds[0, 0] <= z[0] <= problem.z_bounds[0, 1]
@@ -208,25 +212,22 @@ class TestSolveRandomMdo:
         zs = np.linspace(0.0, 6.0, 120)[:, None]
         targets = problem.disciplines[0].fn(zs, np.zeros((120, 0)))[:, None]
         sset = dense_surrogate_set(zs, targets, 71)
-        mda = MdaConfig(tolerance=1e-4, max_iterations=50)
         path_rng = np.random.default_rng(72)
         values = []
         for _ in range(3):
             ev = path_evaluators(sset, 1000, path_rng)
-            _, _, value = solve_random_mdo(ev, problem, DeConfig(seed=73), mda)
+            _, value = solve_mdo(ev, problem, DeConfig(seed=73))
             values.append(value)
         assert max(values) - min(values) <= 1e-3
 
-
-class TestSolveSurrogateMdo:
     def test_dense_surrogate_matches_direct_optimization(self):
         problem = single_discipline_problem()
         zs = np.linspace(0.0, 6.0, 120)[:, None]
         targets = problem.disciplines[0].fn(zs, np.zeros((120, 0)))[:, None]
         sset = dense_surrogate_set(zs, targets, 81)
-        mda = MdaConfig(tolerance=1e-6, max_iterations=50)
-        z_sur, value_sur = solve_surrogate_mdo(sset, problem, DeConfig(seed=82), mda)
+        z_sur, value_sur = solve_mdo(mean_evaluators(sset), problem, DeConfig(seed=82))
 
+        mda = MdaConfig(tolerance=1e-6, max_iterations=50)
         true_objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, mda)
         direct = de_minimize(true_objective, problem.z_bounds, DeConfig(seed=82))
         assert value_sur == pytest.approx(direct.value, abs=1e-3)
