@@ -56,8 +56,6 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                 parser.error(f"--config: unknown setting {key!r}")
             merged[field] = value
     for key, value in vars(args).items():
-        if key in ("config", "command", "records_dir"):
-            continue
         field = _ALIASES.get(key, key)
         if field in _CONFIG_FIELDS and value is not None:
             merged[field] = value

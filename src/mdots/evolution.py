@@ -93,15 +93,12 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
 
     pop = lhs(bounds, n_pop, rng)
     vals = _scores(objective, pop)
-    evaluations = n_pop
     history = [float(vals.min())]
 
     rows = np.arange(n_pop)[:, None]
     picks = np.empty((n_pop, 3), dtype=np.int64)
     cross = np.empty((n_pop, d), dtype=bool)
-    generations = 0
     for _ in range(cfg.max_generations):
-        generations += 1
         # Per-individual draws in a fixed order (parents, crossover mask, forced
         # gene); the arithmetic on them then runs on the whole population.
         for i in range(n_pop):
@@ -112,7 +109,6 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
         mutants = pop[parents[:, 0]] + MUTATION * (pop[parents[:, 1]] - pop[parents[:, 2]])
         trials = np.where(cross, _reflect(mutants, lo, hi), pop)
         trial_vals = _scores(objective, trials)
-        evaluations += n_pop
         better = trial_vals <= vals
         pop[better] = trials[better]
         vals[better] = trial_vals[better]
@@ -121,11 +117,12 @@ def de_minimize(objective, bounds, cfg: DeConfig) -> DeResult:
             break
 
     best = int(np.argmin(vals))
+    # One history entry per scored population: the initial one, then one per generation.
     return DeResult(
         z=pop[best].copy(),
         value=float(vals[best]),
-        generations=generations,
-        evaluations=evaluations,
+        generations=len(history) - 1,
+        evaluations=n_pop * len(history),
     )
 
 
@@ -134,8 +131,8 @@ PENALTY_BASE = 1000.0
 BOUND_WEIGHT = 100.0
 
 
-def penalized_mdo_objective(evaluators, problem: MdoProblem, mda_cfg: MdaConfig):
-    """Wrap per-discipline evaluators into a design-space objective.
+def penalized_mdo_objective(disciplines, problem: MdoProblem, mda_cfg: MdaConfig):
+    """Wrap bound disciplines (``problem.disciplines`` or ``problem.bind(evaluators)``) into a design-space objective.
 
     For each candidate the coupled system is solved from the coupling-box
     midpoint. Converged, in-bounds solutions score the plain objective;
@@ -150,7 +147,6 @@ def penalized_mdo_objective(evaluators, problem: MdoProblem, mda_cfg: MdaConfig)
     The returned callable takes a batch of design points ``(n, d_z)`` and
     returns ``(n,)``.
     """
-    disciplines = problem.bind(evaluators)
     lo, hi = problem.y_bounds[:, 0], problem.y_bounds[:, 1]
     width = hi - lo
     midpoint = problem.y_midpoint()

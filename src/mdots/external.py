@@ -337,9 +337,10 @@ def load_external_problem(spec: dict | str) -> MdoProblem:
     (z, y_star). The top-level ``timeout`` is the objective child's; every
     ``timeout`` is a positive number of seconds up to ``threading.TIMEOUT_MAX``.
     ``reference`` with keys ``z`` (one finite value per design variable) and
-    ``objective`` (finite) is optional. Close the problem to stop its
-    children. An unreadable spec file, a missing key or a value of the wrong
-    type is a ``ValueError``, raised after closing any child already started.
+    ``objective`` (finite and nonzero) is optional. Close the problem to stop
+    its children. An unreadable spec file, a missing key or a value of the
+    wrong type is a ``ValueError``, raised after closing any child already
+    started.
     """
     if isinstance(spec, str):
         try:

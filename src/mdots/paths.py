@@ -45,7 +45,7 @@ class PathSample:
     anchor: TrainedSurrogate
 
 
-def sample_feature_map(params: KernelParams, dim: int, n_features: int, rng) -> FeatureMap:
+def sample_feature_map(params: KernelParams, n_features: int, rng) -> FeatureMap:
     """Draw RFF frequencies/phases/weights for the squared-exponential kernel.
 
     Frequencies are independent normals with per-dimension standard
@@ -54,10 +54,8 @@ def sample_feature_map(params: KernelParams, dim: int, n_features: int, rng) -> 
     """
     if n_features < 1:
         raise ValueError("need at least one basis function")
-    if params.dim != dim:
-        raise ValueError("params dimension disagrees with dim")
     rng = np.random.default_rng(rng)
-    thetas = rng.standard_normal((n_features, dim)) / params.length_scales
+    thetas = rng.standard_normal((n_features, params.dim)) / params.length_scales
     taus = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
     weights = rng.standard_normal(n_features)
     amplitude = float(np.sqrt(params.signal_variance) * np.sqrt(2.0 / n_features))
@@ -83,7 +81,7 @@ def draw_path(surrogate: TrainedSurrogate, n_features: int, rng) -> PathSample:
     determines the path.
     """
     rng = np.random.default_rng(rng)
-    fm = sample_feature_map(surrogate.params, surrogate.dim, n_features, rng)
+    fm = sample_feature_map(surrogate.params, n_features, rng)
     eps = rng.standard_normal(surrogate.n) * np.sqrt(surrogate.params.nugget)
     resid = surrogate.y_std - _prior_values(fm, surrogate.X_norm) - eps
     v = _solve_chol(surrogate.chol, resid)

@@ -86,8 +86,9 @@ class MdoProblem:
         ref = self.reference
         if ref is not None and not (
             np.shape(np.atleast_1d(ref.z)) == (zb.shape[0],) and np.all(np.isfinite(ref.z)) and np.isfinite(ref.objective)
+            and ref.objective != 0.0  # the relative convergence criterion divides by it
         ):
-            raise ValueError(f"reference must hold {zb.shape[0]} finite design values and a finite objective")
+            raise ValueError(f"reference must hold {zb.shape[0]} finite design values and a finite, nonzero objective")
 
     def close(self) -> None:
         for resource in self.resources:

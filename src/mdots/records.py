@@ -71,23 +71,37 @@ class RunRecord:
         return counts
 
 
-# The type each header field must have: a JSON ``true`` is no replicate number.
+def _number(value) -> bool:
+    return type(value) in (int, float)  # a JSON ``true`` is no number
+
+
+def _numbers(value) -> bool:
+    return type(value) is list and all(map(_number, value))
+
+
+# The type of each field a line holds, as the writer writes it; a predicate where no one type says it.
 _HEADER_TYPES = {"schema_version": int, "problem": str, "replicate": int, "config": dict}
+_ITERATION_TYPES = {
+    "iteration": int, "discipline": int, "z_hat": _numbers, "y_hat": _numbers, "y_refine": _numbers, "clamped": bool,
+    "mda_status": str, "random_value": _number, "y_true": lambda v: v is None or _numbers(v), "refined": bool,
+}
+_FINAL_TYPES = {"z": _numbers, "value": _number}
 
 
-def _header(obj: dict) -> dict:
-    header = {key: obj[key] for key in _HEADER_TYPES}
-    for key, kind in _HEADER_TYPES.items():
-        if type(header[key]) is not kind:
-            raise ValueError(f"record header {key} must be of type {kind.__name__}, got {header[key]!r}")
-    return header
+def _typed(kind: str, obj: dict, types: dict) -> dict:
+    """The fields of a ``kind`` line that ``types`` names; one of the wrong type is a ValueError."""
+    fields = {key: obj[key] for key in types}
+    for key, want in types.items():
+        if not (type(fields[key]) is want if isinstance(want, type) else want(fields[key])):
+            raise ValueError(f"record {kind} line has {key} of the wrong type: {fields[key]!r}")
+    return fields
 
 
 # Each line kind a record holds once, and the ``RunRecord`` fields it fills.
 _SLOTS = {
-    "header": _header,
+    "header": lambda obj: _typed("header", obj, _HEADER_TYPES),
     "doe": lambda obj: {"doe": obj["sets"]},
-    "final": lambda obj: {"final_z": obj["z"], "final_value": obj["value"]},
+    "final": lambda obj: {f"final_{key}": value for key, value in _typed("final", obj, _FINAL_TYPES).items()},
     "timing": lambda obj: {"timing": obj},
 }
 
@@ -95,13 +109,7 @@ _SLOTS = {
 def save_run_record(record: RunRecord, path: str) -> None:
     """Write atomically: records never appear half-written next to live readers."""
     lines = [
-        {
-            "kind": "header",
-            "schema_version": record.schema_version,
-            "problem": record.problem,
-            "replicate": record.replicate,
-            "config": record.config,
-        },
+        {"kind": "header", **{key: getattr(record, key) for key in _HEADER_TYPES}},
         {"kind": "doe", "sets": record.doe},
     ]
     lines.extend({"kind": "iteration", **asdict(entry)} for entry in record.iterations)
@@ -122,7 +130,7 @@ def save_run_record(record: RunRecord, path: str) -> None:
 
 
 def load_run_record(path: str) -> RunRecord:
-    """The record a file holds; an unknown, repeated or missing line kind is a ValueError."""
+    """The record a file holds; an unknown, repeated or missing line kind, or a field of a wrong type, is a ValueError."""
     slots = {}
     iterations = []
     with open(path, encoding="utf-8") as fh:
@@ -134,6 +142,7 @@ def load_run_record(path: str) -> RunRecord:
                 raise ValueError(f"record line is not a JSON object: {line.strip()[:40]}")
             kind = obj.pop("kind")
             if kind == "iteration":
+                _typed(kind, obj, _ITERATION_TYPES)
                 iterations.append(IterationEntry(**obj))
             elif kind not in _SLOTS:
                 raise ValueError(f"unknown record line kind {kind!r}")

@@ -151,8 +151,7 @@ def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: f
     """Shipped reference optimum, or a fresh exhaustive solve of the true problem."""
     if problem.reference is not None and not recompute:
         return problem.reference
-    evaluators = [d.fn for d in problem.disciplines]
-    objective = penalized_mdo_objective(evaluators, problem, MdaConfig.reference(tolerance))
+    objective = penalized_mdo_objective(problem.disciplines, problem, MdaConfig.reference(tolerance))
     result = de_minimize(objective, problem.z_bounds, DeConfig.reference())
     f_true, _ = problem.true_objective(result.z, tolerance=tolerance)
     return ReferenceSolution(z=result.z, objective=float(f_true))
@@ -163,7 +162,8 @@ def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs
 
     ``n_runs`` defaults to the number of records; a study that lost
     replicates to hard failures passes the intended count explicitly. A
-    record of another problem is a ValueError.
+    record of another problem, or with a final design of another length, is
+    a ValueError.
     """
     z_found = np.empty((len(records), problem.d_z))
     f_found = np.empty(len(records))
@@ -171,6 +171,9 @@ def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs
     for i, record in enumerate(records):
         if record.problem != problem.problem_id:
             raise ValueError(f"a record of problem {record.problem!r} in a summary of {problem.problem_id!r}")
+        if len(record.final_z) != problem.d_z:
+            raise ValueError(f"replicate {record.replicate}'s final design has {len(record.final_z)} values; "
+                             f"problem {problem.problem_id!r} has {problem.d_z}")
         f, _ = problem.true_objective(np.asarray(record.final_z))
         z_found[i] = record.final_z
         f_found[i] = f

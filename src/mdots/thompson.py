@@ -219,12 +219,12 @@ def mean_evaluators(sset: SurrogateSet):
     return [_stacked(posterior_mean, models) for models in sset.models]
 
 
-def solve_mdo(evaluators, problem: MdoProblem, de_cfg: DeConfig):
-    """Minimize the penalized coupled objective of one set of evaluators: drawn paths or posterior means.
+def solve_mdo(disciplines, problem: MdoProblem, de_cfg: DeConfig):
+    """Minimize the penalized coupled objective of bound disciplines: ``problem.bind`` of drawn paths or posterior means.
 
     Returns the winning design point and its penalized value.
     """
-    result = de_minimize(penalized_mdo_objective(evaluators, problem, SURROGATE_MDA), problem.z_bounds, de_cfg)
+    result = de_minimize(penalized_mdo_objective(disciplines, problem, SURROGATE_MDA), problem.z_bounds, de_cfg)
     return result.z, result.value
 
 
@@ -259,10 +259,10 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
     for n in range(1, cfg.n_iter + 1):
         for m in range(problem.n_disciplines):
             # One entry per step, so the entries so far count the solves so far.
-            evaluators = path_evaluators(sset, cfg.n_features, path_rng)
-            z_hat, value = solve_mdo(evaluators, problem, cfg.de_config(seeds.de + len(entries)))
+            disciplines = problem.bind(path_evaluators(sset, cfg.n_features, path_rng))
+            z_hat, value = solve_mdo(disciplines, problem, cfg.de_config(seeds.de + len(entries)))
             # The coupling at the proposal: a one-row re-solve (last iterate when unconverged).
-            state = gauss_seidel_solve(problem.bind(evaluators), z_hat, problem.y_midpoint(), SURROGATE_MDA)
+            state = gauss_seidel_solve(disciplines, z_hat, problem.y_midpoint(), SURROGATE_MDA)
             y_hat, status = state.y[0], MdaStatus(int(state.status[0]))
 
             cons = problem.disciplines[m].consumes
@@ -294,7 +294,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
             )
     t_loop = time.perf_counter()
 
-    z_star, value_star = solve_mdo(mean_evaluators(sset), problem, cfg.de_config(seeds.de + len(entries)))
+    z_star, value_star = solve_mdo(problem.bind(mean_evaluators(sset)), problem, cfg.de_config(seeds.de + len(entries)))
     t_final = time.perf_counter()
 
     return RunRecord(

@@ -202,14 +202,12 @@ def test_criterion_8_penalty_behavior():
             objective=lambda Z, Y: Z[:, 0] ** 2,
         )
         forced = penalized_mdo_objective(
-            [problem.disciplines[0].fn], problem, MdaConfig(tolerance=1e-10, max_iterations=25, aitken=False)
+            problem.disciplines, problem, MdaConfig(tolerance=1e-10, max_iterations=25, aitken=False)
         )
         assert forced(np.array([[0.4]]))[0] >= 1000.0
 
         sellar = sellar_problem()
-        objective = penalized_mdo_objective(
-            [d.fn for d in sellar.disciplines], sellar, MdaConfig(tolerance=1e-2, max_iterations=100)
-        )
+        objective = penalized_mdo_objective(sellar.disciplines, sellar, MdaConfig(tolerance=1e-2, max_iterations=100))
         result = de_minimize(objective, sellar.z_bounds, DeConfig(seed=14))
         (recomputed,) = objective(result.z[None, :])
         assert recomputed == pytest.approx(result.value, abs=1e-12)

@@ -257,6 +257,27 @@ class TestExternalSpecErrors:
         assert "malformed external problem spec" in self.run_external(tmp_path, capsys, str(spec_path))
 
 
+    def test_study_with_a_zero_reference_objective_is_one_line_before_any_record(self, tmp_path, capsys):
+        # Unchecked, every replicate runs and is saved before the summary finds the criterion undefined.
+        worker = os.path.join(os.path.dirname(__file__), "child_worker.py")
+        spec = {
+            "z_bounds": [[1.0, 4.0]],
+            "y_bounds": [[-20.0, 20.0]],
+            "disciplines": [{"cmd": [sys.executable, worker, "double"], "produces": [0], "consumes": []}],
+            "objective_cmd": [sys.executable, worker, "sum"],
+            "reference": {"z": [1.0], "objective": 0.0},
+        }
+        spec_path = tmp_path / "problem.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "runs"
+        argv = ["study", "--problem", "external", "--external-cmd", str(spec_path), "--n-doe", "2", "--n-iter", "0",
+                "--repeat", "2", "--workers", "1", "--out", str(out)]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "nonzero objective" in err[0]
+        assert not list(out.glob("run_*.ndjson")) and not (out / "summary.csv").exists()
+
+
 class TestReportCommand:
     def test_report_emits_traces_and_aggregate(self, tmp_path, capsys, quick_args):
         out = str(tmp_path / "study")
@@ -361,6 +382,50 @@ class TestReportCommand:
         printed = capsys.readouterr().out.split()
         assert "traces=2" in printed and "skipped=1" in printed
         assert sorted(p.name for p in report.glob("trace_run_*.csv")) == ["trace_run_1.csv", "trace_run_2.csv"]
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("iteration", "random_value", "x"),
+            ("iteration", "random_value", True),
+            ("iteration", "z_hat", [0.5, "x"]),
+            ("iteration", "y_true", "x"),
+            ("iteration", "clamped", 1),
+            ("final", "z", ["x"]),
+            ("final", "value", None),
+        ],
+        ids=["random-value-str", "random-value-bool", "z-hat-item-str", "y-true-str", "clamped-int", "final-z-str",
+             "final-value-null"],
+    )
+    def test_record_line_of_the_wrong_type_skipped_and_counted(self, tmp_path, capsys, quick_args, kind, field, value):
+        # Unchecked, a string random_value fails the report with a TypeError after an earlier trace is written.
+        out = tmp_path / "study"
+        assert run_cli(["study", *quick_args, "--n-iter", "1", "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
+        path = out / "run_1.ndjson"
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        target = next(obj for obj in lines if obj["kind"] == kind)
+        target[field] = value
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        capsys.readouterr()
+        report = tmp_path / "report"
+        assert run_cli(["report", str(out), "--out", str(report)]) == 0
+        printed = capsys.readouterr().out.split()
+        assert "traces=1" in printed and "skipped=1" in printed
+        assert [p.name for p in report.glob("trace_run_*.csv")] == ["trace_run_0.csv"]
+
+    def test_final_design_of_the_wrong_length_is_a_one_line_error_naming_it(self, tmp_path, capsys, quick_args):
+        out = tmp_path / "study"
+        assert run_cli(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
+        path = out / "run_1.ndjson"
+        record = load_run_record(str(path))
+        record.final_z = record.final_z * 2
+        save_run_record(record, str(path))
+        capsys.readouterr()
+        report = tmp_path / "report"
+        assert run_cli(["report", str(out), "--out", str(report)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: replicate 1's final design has 2 values; problem 'toy' has 1"]
+        assert not (report / "aggregate.csv").exists()
 
     def test_records_of_two_problems_are_a_one_line_error(self, tmp_path, capsys, quick_args):
         from mdots.study import ExperimentConfig, run_replicate

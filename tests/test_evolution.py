@@ -229,9 +229,7 @@ def test_reference_resolve_keeps_its_own_de_settings(make):
     # The reference solve must not follow the proposal defaults: 400 generations, 40 at 1e-8, seed 0.
     problem = make()
     got = resolve_reference(problem, recompute=True)
-    objective = penalized_mdo_objective(
-        [d.fn for d in problem.disciplines], problem, MdaConfig.reference(1e-10)
-    )
+    objective = penalized_mdo_objective(problem.disciplines, problem, MdaConfig.reference(1e-10))
     tight = DeConfig(max_generations=400, window=40, tol=1e-8, seed=0)
     want = de_minimize(objective, problem.z_bounds, tight)
     f_true, _ = problem.true_objective(want.z, tolerance=1e-10)
@@ -242,9 +240,7 @@ def test_reference_resolve_keeps_its_own_de_settings(make):
 class TestPenalizedObjective:
     def test_true_sellar_at_reference_has_no_penalty(self):
         problem = sellar_problem()
-        objective = penalized_mdo_objective(
-            [d.fn for d in problem.disciplines], problem, TIGHT_MDA
-        )
+        objective = penalized_mdo_objective(problem.disciplines, problem, TIGHT_MDA)
         (value,) = objective(np.array([[0.0, 2.6345, 0.0]]))
         assert value == pytest.approx(-2.8085, abs=1e-3)
 
@@ -259,7 +255,7 @@ class TestPenalizedObjective:
             objective=lambda Z, Y: Z[:, 0] ** 2,
         )
         objective = penalized_mdo_objective(
-            [problem.disciplines[0].fn], problem, MdaConfig(tolerance=1e-10, max_iterations=20, aitken=False)
+            problem.disciplines, problem, MdaConfig(tolerance=1e-10, max_iterations=20, aitken=False)
         )
         assert objective(np.array([[0.5]]))[0] >= 1000.0
 
@@ -274,7 +270,7 @@ class TestPenalizedObjective:
             objective=lambda Z, Y: np.full(Z.shape[0], -0.5285),
         )
         objective = penalized_mdo_objective(
-            [problem.disciplines[0].fn], problem, MdaConfig(tolerance=1e-10, max_iterations=15, aitken=False)
+            problem.disciplines, problem, MdaConfig(tolerance=1e-10, max_iterations=15, aitken=False)
         )
         assert objective(np.array([[0.0]]))[0] == pytest.approx(1000.0 - 0.5285, abs=1e-9)
 
@@ -287,7 +283,7 @@ class TestPenalizedObjective:
             disciplines=(Discipline("d", produces=[0], consumes=[0], fn=lambda Z, Y: 0.5 * Y[:, 0] + 2.5),),
             objective=lambda Z, Y: Z[:, 0],
         )
-        objective = penalized_mdo_objective([problem.disciplines[0].fn], problem, TIGHT_MDA)
+        objective = penalized_mdo_objective(problem.disciplines, problem, TIGHT_MDA)
         (value,) = objective(np.array([[0.25]]))
         # f + base + weight * (5 - 2) / (2 - 0)
         assert (PENALTY_BASE, BOUND_WEIGHT) == (1000.0, 100.0)
@@ -295,7 +291,7 @@ class TestPenalizedObjective:
 
     def test_penalized_values_separate_from_plain_values(self):
         problem = toy_problem()
-        objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, TIGHT_MDA)
+        objective = penalized_mdo_objective(problem.disciplines, problem, TIGHT_MDA)
         rng = np.random.default_rng(9)
         Z = rng.uniform(-5.0, 5.0, size=(40, 1))
         values = objective(Z)
@@ -307,9 +303,7 @@ class TestPenalizedObjective:
 
     def test_feasible_optimum_carries_no_penalty_on_recomputation(self):
         problem = sellar_problem()
-        objective = penalized_mdo_objective(
-            [d.fn for d in problem.disciplines], problem, SURROGATE_MDA
-        )
+        objective = penalized_mdo_objective(problem.disciplines, problem, SURROGATE_MDA)
         cfg = DeConfig(max_generations=60, seed=10)
         result = de_minimize(objective, problem.z_bounds, cfg)
         assert result.value == pytest.approx(objective(result.z[None, :])[0], abs=1e-12)
@@ -318,7 +312,7 @@ class TestPenalizedObjective:
     def test_batch_and_scalar_agree(self):
         # Each candidate scored alone, as a batch of one, matches its row of the batch.
         problem = toy_problem()
-        objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, TIGHT_MDA)
+        objective = penalized_mdo_objective(problem.disciplines, problem, TIGHT_MDA)
         Z = np.array([[-3.0], [0.0], [4.0]])
         batch = objective(Z)
         assert batch.shape == (3,)
@@ -327,5 +321,5 @@ class TestPenalizedObjective:
 
     def test_evaluator_count_checked(self):
         problem = toy_problem()
-        with pytest.raises(ValueError):
-            penalized_mdo_objective([problem.disciplines[0].fn], problem, TIGHT_MDA)
+        with pytest.raises(ValueError, match="one evaluator per discipline"):
+            penalized_mdo_objective(problem.bind([problem.disciplines[0].fn]), problem, TIGHT_MDA)

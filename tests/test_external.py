@@ -506,8 +506,9 @@ class TestExternalProblem:
             {"z": [1.0, 2.0], "objective": 3.0},
             {"z": [float("nan")], "objective": 3.0},
             {"z": [1.0], "objective": float("inf")},
+            {"z": [1.0], "objective": 0.0},
         ],
-        ids=["z-too-long", "z-not-finite", "objective-not-finite"],
+        ids=["z-too-long", "z-not-finite", "objective-not-finite", "objective-zero"],
     )
     def test_reference_of_the_wrong_shape_is_a_value_error(self, tmp_path, started_children, reference):
         # Unchecked, the study summary pairs each variable with another's reference and drops the rest.

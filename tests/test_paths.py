@@ -17,27 +17,27 @@ def make_surrogate(n=8, seed=0):
 class TestFeatureMap:
     def test_frequency_spread_matches_spectral_density(self):
         params = KernelParams(length_scales=[1.0], signal_variance=1.0, nugget=1e-7)
-        fm = sample_feature_map(params, 1, 1000, np.random.default_rng(0))
+        fm = sample_feature_map(params, 1000, np.random.default_rng(0))
         # 3-sigma band for the sample std of 1000 unit normals
         assert 0.93 <= fm.thetas.std() <= 1.07
 
     def test_phases_in_range_and_shapes(self):
         params = KernelParams(length_scales=[2.0, 0.5], signal_variance=1.5, nugget=1e-7)
-        fm = sample_feature_map(params, 2, 64, np.random.default_rng(1))
+        fm = sample_feature_map(params, 64, np.random.default_rng(1))
         assert fm.thetas.shape == (64, 2)
         assert np.all((fm.taus >= 0.0) & (fm.taus < 2.0 * np.pi))
         assert fm.amplitude == pytest.approx(np.sqrt(1.5) * np.sqrt(2.0 / 64.0))
 
     def test_ard_scaling_of_frequencies(self):
         params = KernelParams(length_scales=[4.0, 0.25], signal_variance=1.0, nugget=1e-7)
-        fm = sample_feature_map(params, 2, 4000, np.random.default_rng(2))
+        fm = sample_feature_map(params, 4000, np.random.default_rng(2))
         assert fm.thetas[:, 0].std() == pytest.approx(0.25, rel=0.15)
         assert fm.thetas[:, 1].std() == pytest.approx(4.0, rel=0.15)
 
     def test_prior_covariance_approximates_kernel(self):
         # Monte Carlo estimate of the feature covariance against the exact kernel.
         params = KernelParams(length_scales=[1.0], signal_variance=1.0, nugget=1e-7)
-        fm = sample_feature_map(params, 1, 5000, np.random.default_rng(3))
+        fm = sample_feature_map(params, 5000, np.random.default_rng(3))
         xs = np.linspace(-3.0, 3.0, 13)
         phi0 = np.cos(0.0 * fm.thetas[:, 0] + fm.taus)
         for x in xs:
@@ -49,7 +49,7 @@ class TestFeatureMap:
     def test_rejects_empty_basis(self):
         params = KernelParams(length_scales=[1.0], signal_variance=1.0, nugget=1e-7)
         with pytest.raises(ValueError):
-            sample_feature_map(params, 1, 0, np.random.default_rng(0))
+            sample_feature_map(params, 0, np.random.default_rng(0))
 
 
 class TestEvalPath:
@@ -85,7 +85,7 @@ class TestEvalPath:
     def test_prior_only_path_is_pure_feature_expansion(self):
         # The prior part of a path: the cosine expansion of one feature-map draw, nothing else.
         params = KernelParams(length_scales=[1.0], signal_variance=2.0, nugget=1e-7)
-        fm = sample_feature_map(params, 1, 128, np.random.default_rng(6))
+        fm = sample_feature_map(params, 128, np.random.default_rng(6))
         x = 0.7
         expected = fm.amplitude * np.sum(fm.weights * np.cos(fm.thetas[:, 0] * x + fm.taus))
         assert _prior_values(fm, np.array([[x]]))[0] == pytest.approx(expected, rel=1e-12)

@@ -74,7 +74,7 @@ class TestRunBudget:
         rng = np.random.default_rng(seeds.doe)
         sets = initial_doe_training_sets(problem, 4, rng)
         sset = fit_surrogate_set(sets, rng)
-        z, value = solve_mdo(mean_evaluators(sset), problem, cfg.de_config(seeds.de))
+        z, value = solve_mdo(problem.bind(mean_evaluators(sset)), problem, cfg.de_config(seeds.de))
         np.testing.assert_array_equal(record.final_z, z.tolist())
         assert record.final_value == value
 
@@ -185,11 +185,10 @@ class TestMonotoneInformation:
 class TestSolveMdo:
     def test_true_disciplines_recover_sellar_reference(self):
         problem = sellar_problem()
-        evaluators = [d.fn for d in problem.disciplines]
-        z, value = solve_mdo(evaluators, problem, DeConfig(seed=51))
+        z, value = solve_mdo(problem.disciplines, problem, DeConfig(seed=51))
         np.testing.assert_allclose(z, [0.0, 2.6345, 0.0], atol=0.05)
         assert value == pytest.approx(-2.8085, abs=1e-2)
-        state = gauss_seidel_solve(problem.bind(evaluators), z, problem.y_midpoint(), SURROGATE_MDA)
+        state = gauss_seidel_solve(problem.disciplines, z, problem.y_midpoint(), SURROGATE_MDA)
         assert np.isfinite(state.y).all()
 
     def test_two_seeds_two_proposals(self):
@@ -201,8 +200,8 @@ class TestSolveMdo:
         path_rng = np.random.default_rng(62)
         ev1 = path_evaluators(sset, 400, path_rng)
         ev2 = path_evaluators(sset, 400, path_rng)
-        z1, _ = solve_mdo(ev1, problem, DeConfig(seed=64))
-        z2, _ = solve_mdo(ev2, problem, DeConfig(seed=64))
+        z1, _ = solve_mdo(problem.bind(ev1), problem, DeConfig(seed=64))
+        z2, _ = solve_mdo(problem.bind(ev2), problem, DeConfig(seed=64))
         assert not np.array_equal(z1, z2)
         for z in (z1, z2):
             assert problem.z_bounds[0, 0] <= z[0] <= problem.z_bounds[0, 1]
@@ -216,7 +215,7 @@ class TestSolveMdo:
         values = []
         for _ in range(3):
             ev = path_evaluators(sset, 1000, path_rng)
-            _, value = solve_mdo(ev, problem, DeConfig(seed=73))
+            _, value = solve_mdo(problem.bind(ev), problem, DeConfig(seed=73))
             values.append(value)
         assert max(values) - min(values) <= 1e-3
 
@@ -225,10 +224,10 @@ class TestSolveMdo:
         zs = np.linspace(0.0, 6.0, 120)[:, None]
         targets = problem.disciplines[0].fn(zs, np.zeros((120, 0)))[:, None]
         sset = dense_surrogate_set(zs, targets, 81)
-        z_sur, value_sur = solve_mdo(mean_evaluators(sset), problem, DeConfig(seed=82))
+        z_sur, value_sur = solve_mdo(problem.bind(mean_evaluators(sset)), problem, DeConfig(seed=82))
 
         mda = MdaConfig(tolerance=1e-6, max_iterations=50)
-        true_objective = penalized_mdo_objective([d.fn for d in problem.disciplines], problem, mda)
+        true_objective = penalized_mdo_objective(problem.disciplines, problem, mda)
         direct = de_minimize(true_objective, problem.z_bounds, DeConfig(seed=82))
         assert value_sur == pytest.approx(direct.value, abs=1e-3)
         np.testing.assert_allclose(z_sur, direct.z, atol=1e-2)
