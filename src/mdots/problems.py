@@ -11,7 +11,7 @@ applies both rules wherever a discipline is called.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +28,8 @@ __all__ = [
     "lhs",
     "initial_doe_training_sets",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -215,9 +217,10 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
     """Independent per-discipline DoE over the design box joined with each
     discipline's coupling-input bounds; no coupled solve is needed.
 
-    Rows that ``mda.evaluate`` fails are dropped with a warning that gives
-    its note: a non-finite row alone, every row of the batch on a raised
-    ``DisciplineFailure``. Fewer than two survivors is an error.
+    Rows that ``mda.evaluate`` fails are dropped with one WARNING on the
+    ``mdots.problems`` logger that gives its note: a non-finite row alone,
+    every row of the batch on a raised ``DisciplineFailure``. Fewer than two
+    survivors is an error.
     """
     if n_doe < 2:
         raise ValueError("need at least two DoE points")
@@ -232,9 +235,7 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
             out, note = evaluate(disc, Z, Yin)
         ok = np.isfinite(out).all(axis=1)
         if note is not None:
-            warnings.warn(
-                f"dropping {int((~ok).sum())} failed DoE point(s) for discipline {disc.name!r}: {note}", stacklevel=2
-            )
+            log.warning("dropping %d failed DoE point(s) for discipline %r: %s", (~ok).sum(), disc.name, note)
         if ok.sum() < 2:
             raise RuntimeError(f"fewer than two usable DoE points for discipline {disc.name!r}")
         sets.append(TrainingSet(inputs=pts[ok], targets=out[ok]))

@@ -89,18 +89,19 @@ _FINAL_TYPES = {"z": _numbers, "value": _number}
 
 
 def _typed(kind: str, obj: dict, types: dict) -> dict:
-    """The fields of a ``kind`` line that ``types`` names; one of the wrong type is a ValueError."""
-    fields = {key: obj[key] for key in types}
+    """The fields of a ``kind`` line; a missing field, one not in ``types`` or one of a wrong type is a ValueError."""
+    if obj.keys() != types.keys():
+        raise ValueError(f"record {kind} line lacks or adds the fields {sorted(obj.keys() ^ types.keys())}")
     for key, want in types.items():
-        if not (type(fields[key]) is want if isinstance(want, type) else want(fields[key])):
-            raise ValueError(f"record {kind} line has {key} of the wrong type: {fields[key]!r}")
-    return fields
+        if not (type(obj[key]) is want if isinstance(want, type) else want(obj[key])):
+            raise ValueError(f"record {kind} line has {key} of the wrong type: {obj[key]!r}")
+    return obj
 
 
 # Each line kind a record holds once, and the ``RunRecord`` fields it fills.
 _SLOTS = {
     "header": lambda obj: _typed("header", obj, _HEADER_TYPES),
-    "doe": lambda obj: {"doe": obj["sets"]},
+    "doe": lambda obj: {"doe": _typed("doe", obj, {"sets": list})["sets"]},
     "final": lambda obj: {f"final_{key}": value for key, value in _typed("final", obj, _FINAL_TYPES).items()},
     "timing": lambda obj: {"timing": obj},
 }
@@ -130,21 +131,23 @@ def save_run_record(record: RunRecord, path: str) -> None:
 
 
 def load_run_record(path: str) -> RunRecord:
-    """The record a file holds; an unknown, repeated or missing line kind, or a field of a wrong type, is a ValueError."""
+    """The record a file holds; a malformed line, or a line kind unknown, repeated or missing, is a ValueError."""
     slots = {}
     iterations = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except RecursionError:
+                raise ValueError(f"record line nests too deeply: {line.strip()[:40]}") from None
             if type(obj) is not dict:
                 raise ValueError(f"record line is not a JSON object: {line.strip()[:40]}")
-            kind = obj.pop("kind")
+            kind = obj.pop("kind", None)
             if kind == "iteration":
-                _typed(kind, obj, _ITERATION_TYPES)
-                iterations.append(IterationEntry(**obj))
-            elif kind not in _SLOTS:
+                iterations.append(IterationEntry(**_typed(kind, obj, _ITERATION_TYPES)))
+            elif type(kind) is not str or kind not in _SLOTS:
                 raise ValueError(f"unknown record line kind {kind!r}")
             elif kind in slots:
                 raise ValueError(f"run record has a second {kind} line")
@@ -177,7 +180,7 @@ def load_records_dir(directory: str):
     for p in paths:
         try:
             record = load_run_record(os.path.join(directory, p))
-        except (OSError, ValueError, KeyError, TypeError, RecursionError):  # json.JSONDecodeError is a ValueError
+        except (OSError, ValueError):  # json.JSONDecodeError is a ValueError
             continue
         by_replicate.setdefault(record.replicate, record)
     # Every file not kept was skipped: unreadable, malformed or a repeat.

@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,31 +93,29 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
     Replicates are keyed by index; execution order (and the worker pool
     width) cannot change any record or statistic. The pool has ``workers``
     processes (when unset, one per CPU this process may run on), at most
-    ``repeat``. A replicate that fails outright is warned
-    about and counted as a run that did not converge; the study always
-    completes. Each finished replicate is logged at INFO on the
-    ``mdots.study`` logger, in the order they finish; opening a pool while
-    none of ``BLAS_THREAD_VARS`` is set logs one WARNING there.
+    ``repeat``. The problem is built and closed once before any replicate
+    runs, so one that cannot be built fails the study at once. Each
+    finished replicate is logged on the ``mdots.study`` logger, in the order
+    they finish: at INFO when it ran, at WARNING with its cause when it
+    failed outright. A failed replicate counts as a run that did not
+    converge; the study always completes. Opening a pool while none of
+    ``BLAS_THREAD_VARS`` is set logs one WARNING there.
     """
+    build_problem(cfg).close()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus if cfg.workers is None else cfg.workers, cfg.repeat)
-    failures: dict[int, str] = {}
     records = []
 
-    def finish(k, record, error, seconds):
+    def finish(k, done, record, error, seconds):
         if error is None:
             records.append(record)
+            log.info("replicate %d ok in %.2f s (%d of %d done)", k, seconds, done, cfg.repeat)
         else:
-            failures[k] = error
-        done = len(records) + len(failures)
-        log.info(
-            "replicate %d %s in %.2f s (%d of %d done)",
-            k, "ok" if error is None else "failed", seconds, done, cfg.repeat,
-        )
+            log.warning("replicate %d failed in %.2f s (%d of %d done): %s", k, seconds, done, cfg.repeat, error)
 
     if workers <= 1:
         for k in range(cfg.repeat):
-            finish(k, *_timed_replicate(cfg, k, out_dir))
+            finish(k, k + 1, *_timed_replicate(cfg, k, out_dir))
     else:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -128,14 +125,12 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
         started = time.perf_counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_timed_replicate, cfg, k, out_dir): k for k in range(cfg.repeat)}
-            for future in as_completed(futures):
+            for done, future in enumerate(as_completed(futures), 1):
                 try:
                     outcome = future.result()
                 except Exception as exc:  # the pool itself failed; time it from the study's start
                     outcome = None, str(exc), time.perf_counter() - started
-                finish(futures[future], *outcome)
-    for k in sorted(failures):
-        warnings.warn(f"replicate {k} failed: {failures[k]}", stacklevel=2)
+                finish(futures[future], done, *outcome)
     records.sort(key=lambda r: r.replicate)
     return records, summarize_study(cfg, records, n_runs=cfg.repeat)
 

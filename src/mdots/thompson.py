@@ -12,9 +12,9 @@ final design comes from the same machinery run on posterior means.
 
 from __future__ import annotations
 
+import logging
 import numbers
 import time
-import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -39,6 +39,8 @@ __all__ = [
     "run_mdo_ts",
     "convergence_check",
 ]
+
+log = logging.getLogger(__name__)
 
 CONVERGENCE_THRESHOLD = 0.01
 PATH_SEED_OFFSET = 1_000_000
@@ -239,11 +241,11 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
     """Run the full loop: DoE, n_iter refinement rounds, final mean solve.
 
     Every inner step refines exactly one discipline; a failed true
-    evaluation at a proposal skips that refinement with one warning that
-    names the cause, and the run continues. The seeds are those of replicate
-    ``replicate`` of ``cfg.seed``. The record embeds the config, with
-    ``problem`` set to the problem's id, so the run can be re-launched from
-    the file alone.
+    evaluation at a proposal skips that refinement with one WARNING on the
+    ``mdots.thompson`` logger that names the cause, and the run continues.
+    The seeds are those of replicate ``replicate`` of ``cfg.seed``. The
+    record embeds the config, with ``problem`` set to the problem's id, so
+    the run can be re-launched from the file alone.
     """
     seeds = replicate_seeds(cfg.seed, replicate)
     t0 = time.perf_counter()
@@ -276,7 +278,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
             if refined:
                 refine_discipline(sset, m, np.concatenate([z_hat, y_refine]), out[0], doe_rng)
             else:
-                warnings.warn(f"skipping refinement of discipline {m} at iteration {n}: {note}", stacklevel=2)
+                log.warning("skipping refinement of discipline %d at iteration %d: %s", m, n, note)
 
             entries.append(
                 IterationEntry(

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import sys
 import warnings
@@ -14,6 +15,11 @@ def run_cli(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return main(argv)
+
+
+def failed_replicates(caplog):
+    """The records on ``mdots.study`` of replicates that failed."""
+    return [r for r in caplog.records if r.name == "mdots.study" and "failed" in r.getMessage()]
 
 
 @pytest.fixture()
@@ -78,6 +84,18 @@ class TestRunCommand:
         assert len(errors) == 1 and "JSON object" in errors[0]
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+    def test_config_file_it_cannot_read_is_exit_2(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_file.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"cannot read {cfg_file}" in errors[0]
+        assert not (tmp_path / "runs").exists()
+
     def test_retired_setting_in_config_file_is_unknown(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"problem": "toy", "gp_isotropic": False}))
@@ -117,14 +135,13 @@ class TestStudyCommand:
         assert os.listdir(out) == ["summary.csv"]
         assert "runs=1 converged=0" in capsys.readouterr().out
 
-    def test_out_that_names_a_file_is_one_error_line_before_any_run(self, tmp_path, capsys, quick_args):
+    def test_out_that_names_a_file_is_one_error_line_before_any_run(self, tmp_path, capsys, caplog, quick_args):
         out = tmp_path / "taken"
         out.write_text("")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with caplog.at_level(logging.INFO, logger="mdots.study"):
             code = main(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", str(out)])
         assert code == 1
-        assert not [w for w in caught if "failed" in str(w.message)]
+        assert not failed_replicates(caplog)
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
 
@@ -193,16 +210,15 @@ class TestStudyCommand:
         [({"problem": "foo"}, "unknown problem 'foo'"), ({"problem": "external"}, "external_cmd")],
         ids=["unknown", "external-without-spec"],
     )
-    def test_problem_it_cannot_build_rejected_before_any_run(self, tmp_path, capsys, setting, message):
+    def test_problem_it_cannot_build_rejected_before_any_run(self, tmp_path, capsys, caplog, setting, message):
         # Unchecked, each replicate fails with the same message and the study ends with it once more.
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n_doe": 3, "n_iter": 1, **setting}))
         out = tmp_path / "study"
-        with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
-            warnings.simplefilter("always")
+        with caplog.at_level(logging.INFO, logger="mdots.study"), pytest.raises(SystemExit) as exc:
             main(["study", "--config", str(cfg_file), "--repeat", "2", "--workers", "1", "--out", str(out)])
         assert exc.value.code == 2
-        assert not [w for w in caught if "replicate 0 failed" in str(w.message)]
+        assert not failed_replicates(caplog)
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
         assert not out.exists()
@@ -257,8 +273,11 @@ class TestExternalSpecErrors:
         assert "malformed external problem spec" in self.run_external(tmp_path, capsys, str(spec_path))
 
 
-    def test_study_with_a_zero_reference_objective_is_one_line_before_any_record(self, tmp_path, capsys):
-        # Unchecked, every replicate runs and is saved before the summary finds the criterion undefined.
+    def test_study_with_a_zero_reference_objective_is_one_line_before_any_record(
+        self, tmp_path, capsys, caplog, started_children
+    ):
+        # Unchecked, every replicate runs and is saved before the summary finds the criterion undefined; built in
+        # each replicate, the problem starts (and stops) the spec's two children once per replicate before it fails.
         worker = os.path.join(os.path.dirname(__file__), "child_worker.py")
         spec = {
             "z_bounds": [[1.0, 4.0]],
@@ -272,10 +291,13 @@ class TestExternalSpecErrors:
         out = tmp_path / "runs"
         argv = ["study", "--problem", "external", "--external-cmd", str(spec_path), "--n-doe", "2", "--n-iter", "0",
                 "--repeat", "2", "--workers", "1", "--out", str(out)]
-        assert run_cli(argv) == 1
+        with caplog.at_level(logging.INFO, logger="mdots.study"):
+            assert run_cli(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "nonzero objective" in err[0]
         assert not list(out.glob("run_*.ndjson")) and not (out / "summary.csv").exists()
+        assert len(started_children) == 2 and not failed_replicates(caplog)
+        assert all(ev._proc.poll() is not None for ev in started_children)
 
 
 class TestReportCommand:
@@ -291,6 +313,14 @@ class TestReportCommand:
         with open(os.path.join(report_dir, "aggregate.csv"), newline="") as fh:
             header = next(csv.reader(fh))
         assert header == SUMMARY_COLUMNS
+
+    @pytest.mark.parametrize("make_file", [True, False], ids=["a-file", "missing"])
+    def test_path_that_is_not_a_directory_is_an_error(self, tmp_path, capsys, make_file):
+        path = tmp_path / "run_0.ndjson"
+        if make_file:
+            path.write_text("")
+        assert run_cli(["report", str(path)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {path} is not a directory"]
 
     def test_empty_directory_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"

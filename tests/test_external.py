@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import sys
@@ -392,7 +393,7 @@ class TestInsideMda:
             state = gauss_seidel_solve([disc], [0.0], np.array([0.0]), MdaConfig(tolerance=1e-8, max_iterations=10))
         assert state.status[0] == MdaStatus.EVALUATOR_FAILURE
 
-    def test_multi_output_discipline_with_every_row_failed(self):
+    def test_multi_output_discipline_with_every_row_failed(self, caplog):
         # The width comes from the spec's "produces", not from a good reply, so a batch with none still has shape.
         spec = {
             "z_bounds": [[0.0, 1.0]],
@@ -404,8 +405,10 @@ class TestInsideMda:
             res = solve_batch(problem.disciplines, np.array([[0.1], [0.2], [0.3]]), problem.y_midpoint(), MdaConfig())
             np.testing.assert_array_equal(res.status, [int(MdaStatus.EVALUATOR_FAILURE)] * 3)
             assert "returned non-finite output" in res.failure
-            with pytest.raises(RuntimeError, match="fewer than two usable DoE points"), pytest.warns(UserWarning):
+            with pytest.raises(RuntimeError, match="fewer than two usable DoE points"):
                 initial_doe_training_sets(problem, 3, np.random.default_rng(0))
+        dropped = [r for r in caplog.records if r.name == "mdots.problems" and r.levelno == logging.WARNING]
+        assert len(dropped) == 1
 
     def test_contractive_remote_discipline_converges(self):
         # child computes z + y/2 through the sum mode with scaled inputs
@@ -431,20 +434,6 @@ def write_spec(tmp_path, discipline_mode="double"):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(spec))
     return str(path)
-
-
-@pytest.fixture()
-def started_children(monkeypatch):
-    """Every ExternalDiscipline built during the test; holding them keeps ``__del__`` from closing any."""
-    started = []
-    init = ExternalDiscipline.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        started.append(self)
-
-    monkeypatch.setattr(ExternalDiscipline, "__init__", recording_init)
-    return started
 
 
 class TestExternalProblem:
@@ -474,8 +463,9 @@ class TestExternalProblem:
         assert record.evaluations_per_discipline() == [3]
         assert len(started_children) == 2
         run_study(cfg)
-        # Two problems for the study: its one replicate, and the one for the reference and summary.
-        assert len(started_children) == 6
+        # Three problems for the study: the one built before any replicate, its one replicate, and the one for the
+        # reference and summary.
+        assert len(started_children) == 8
         assert all(ev._proc.poll() is not None for ev in started_children)
 
     @pytest.mark.parametrize(

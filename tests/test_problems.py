@@ -1,3 +1,5 @@
+import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,11 @@ from mdots.problems import (
     sellar_problem,
     toy_problem,
 )
+
+
+def dropped_points(caplog):
+    """The messages of the WARNING records on ``mdots.problems``: one per discipline with dropped DoE points."""
+    return [r.getMessage() for r in caplog.records if r.name == "mdots.problems" and r.levelno == logging.WARNING]
 
 
 class TestToyProblem:
@@ -151,7 +158,7 @@ class TestInitialDoe:
         with pytest.raises(ValueError):
             initial_doe_training_sets(toy_problem(), 1, np.random.default_rng(8))
 
-    def test_failed_points_dropped_with_warning(self):
+    def test_failed_points_dropped_with_warning(self, caplog):
         def sometimes_nan(Z, Yin):
             out = Z[:, 0] + Yin[:, 0]
             out[Yin[:, 0] > 0.0] = np.nan
@@ -167,12 +174,13 @@ class TestInitialDoe:
             ),
             objective=lambda Z, Y: Z[:, 0],
         )
-        with pytest.warns(UserWarning, match="failed DoE"):
-            sets = initial_doe_training_sets(problem, 12, np.random.default_rng(9))
+        sets = initial_doe_training_sets(problem, 12, np.random.default_rng(9))
+        (message,) = dropped_points(caplog)
+        assert "failed DoE" in message
         assert sets[0].inputs.shape[0] < 12
         assert np.all(np.isfinite(sets[0].targets))
 
-    def test_all_failed_is_an_error(self):
+    def test_all_failed_is_an_error(self, caplog):
         problem = MdoProblem(
             problem_id="dead",
             z_bounds=[[0.0, 1.0]],
@@ -180,12 +188,12 @@ class TestInitialDoe:
             disciplines=(Discipline("a", produces=[0], consumes=[], fn=lambda Z, Y: np.full(Z.shape[0], np.nan)),),
             objective=lambda Z, Y: Z[:, 0],
         )
-        with pytest.warns(UserWarning):
-            with pytest.raises(RuntimeError):
-                initial_doe_training_sets(problem, 4, np.random.default_rng(10))
+        with pytest.raises(RuntimeError):
+            initial_doe_training_sets(problem, 4, np.random.default_rng(10))
+        assert len(dropped_points(caplog)) == 1
 
     @pytest.mark.parametrize("failure", ["raises", "nan-rows"])
-    def test_a_raise_fails_the_batch_as_nan_rows_do(self, failure):
+    def test_a_raise_fails_the_batch_as_nan_rows_do(self, caplog, failure):
         # Both failure channels of the problem interface end the same way: rows dropped, then too few left.
         def crashed(Z, Yin):
             if failure == "raises":
@@ -194,19 +202,21 @@ class TestInitialDoe:
 
         toy = toy_problem()
         problem = replace(toy, disciplines=(replace(toy.disciplines[0], fn=crashed), toy.disciplines[1]))
-        with pytest.warns(UserWarning, match=r"dropping 4 failed DoE point\(s\) for discipline 'f1'"):
-            with pytest.raises(RuntimeError, match="fewer than two usable DoE points for discipline 'f1'"):
-                initial_doe_training_sets(problem, 4, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="fewer than two usable DoE points for discipline 'f1'"):
+            initial_doe_training_sets(problem, 4, np.random.default_rng(0))
+        (message,) = dropped_points(caplog)
+        assert re.match(r"dropping 4 failed DoE point\(s\) for discipline 'f1'", message)
 
-    def test_dropped_points_warning_gives_the_cause(self):
+    def test_dropped_points_warning_gives_the_cause(self, caplog):
         def down(Z, Yin):
             raise DisciplineFailure("license server down")
 
         toy = toy_problem()
         problem = replace(toy, disciplines=(toy.disciplines[0], replace(toy.disciplines[1], fn=down)))
-        with pytest.warns(UserWarning, match=r"dropping 4 failed DoE point\(s\) for discipline 'f2': .*license server down"):
-            with pytest.raises(RuntimeError, match="fewer than two usable DoE points for discipline 'f2'"):
-                initial_doe_training_sets(problem, 4, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="fewer than two usable DoE points for discipline 'f2'"):
+            initial_doe_training_sets(problem, 4, np.random.default_rng(0))
+        (message,) = dropped_points(caplog)
+        assert re.match(r"dropping 4 failed DoE point\(s\) for discipline 'f2': .*license server down", message)
 
 
 class TestWiring:

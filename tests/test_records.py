@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import logging
 import os
 import re
@@ -119,6 +120,40 @@ class TestRoundTrip:
         (tmp_path / "run_0.ndjson").write_text(joined)
         with pytest.raises(ValueError, match="second header line"):
             load_run_record(str(tmp_path / "run_0.ndjson"))
+        assert load_records_dir(str(tmp_path)) == ([], 1)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        record = small_record()
+        path = tmp_path / "run_0.ndjson"
+        save_run_record(record, str(path))
+        path.write_text("\n" + path.read_text().replace("\n", "\n  \n"))
+        assert dataclasses.asdict(load_run_record(str(path))) == dataclasses.asdict(record)
+
+    @pytest.mark.parametrize(
+        "kind, edit, match",
+        [
+            ("timing", lambda obj: {k: v for k, v in obj.items() if k != "kind"}, "unknown record line kind None"),
+            ("timing", lambda obj: {**obj, "kind": ["timing"]}, r"unknown record line kind \['timing'\]"),
+            ("timing", lambda obj: {**obj, "kind": "comment"}, "unknown record line kind 'comment'"),
+            ("header", lambda obj: {**obj, "schema_version": 2}, "unsupported schema version 2"),
+            ("doe", lambda obj: {"kind": "doe"}, r"record doe line lacks or adds the fields \['sets'\]"),
+            ("iteration", lambda obj: {**obj, "extra": 1}, r"iteration line lacks or adds the fields \[.extra.\]"),
+            ("iteration", lambda obj: {k: v for k, v in obj.items() if k != "z_hat"}, r"iteration line .* \['z_hat'\]"),
+            ("timing", lambda obj: "[" * 100_000 + "]" * 100_000, "record line nests too deeply"),
+        ],
+        ids=["no-kind", "kind-a-list", "unknown-kind", "schema-version", "doe-without-sets", "iteration-extra-field",
+             "iteration-without-z_hat", "nested-too-deeply"],
+    )
+    def test_malformed_line_is_a_value_error_naming_it(self, tmp_path, kind, edit, match):
+        path = tmp_path / "run_0.ndjson"
+        save_run_record(small_record(), str(path))
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        edited = edit(json.loads(lines[i]))
+        lines[i] = edited if isinstance(edited, str) else json.dumps(edited)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_run_record(str(path))
         assert load_records_dir(str(tmp_path)) == ([], 1)
 
     @pytest.mark.parametrize("line", ["5", '"header"', "[1, 2]", "null"])
@@ -399,13 +434,53 @@ class TestStudy:
         monkeypatch.setattr(study_mod, "run_replicate", sometimes_broken)
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=0, repeat=2, seed=12, workers=1)
         with caplog.at_level(logging.INFO, logger="mdots.study"):
-            with pytest.warns(UserWarning, match="replicate 0 failed"):
-                records, summary = run_study(cfg)
-        messages = [r.getMessage() for r in caplog.records if r.name == "mdots.study"]
-        assert [m.split(" in ")[0] for m in messages] == ["replicate 0 failed", "replicate 1 ok"]
+            records, summary = run_study(cfg)
+        lines = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "mdots.study"]
+        assert [(level, m.split(" in ")[0]) for level, m in lines] == [
+            (logging.WARNING, "replicate 0 failed"),
+            (logging.INFO, "replicate 1 ok"),
+        ]
+        assert lines[0][1].endswith("s (1 of 2 done): synthetic replicate failure")
         assert len(records) == 1
         assert summary.n_runs == 2
         assert summary.n_converged <= 1
+
+    def test_a_dead_pool_worker_fails_its_pending_replicates(self, monkeypatch, caplog):
+        import mdots.study as study_mod
+
+        real = study_mod.run_replicate
+
+        def dies_in_replicate_1(cfg, k, out_dir=None):
+            if k == 1:
+                os._exit(1)  # as a worker the OS kills: the pool breaks
+            return real(cfg, k, out_dir)
+
+        monkeypatch.setattr(study_mod, "run_replicate", dies_in_replicate_1)
+        cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=0, repeat=3, seed=12, workers=2)
+        with caplog.at_level(logging.INFO, logger="mdots.study"):
+            records, summary = run_study(cfg)
+        pattern = r"replicate (\d) (ok|failed) in \d+\.\d\d s \((\d) of 3 done\).*"
+        lines = [re.fullmatch(pattern, r.getMessage()) for r in caplog.records if r.name == "mdots.study"]
+        assert all(lines)
+        assert sorted(int(m[1]) for m in lines) == [0, 1, 2] and [int(m[3]) for m in lines] == [1, 2, 3]
+        failed = {int(m[1]) for m in lines if m[2] == "failed"}
+        assert 1 in failed
+        assert sorted(r.replicate for r in records) == sorted({0, 1, 2} - failed)
+        assert summary.n_runs == 3
+
+    def test_record_whose_true_solve_does_not_converge_counts_as_not_converged(self):
+        # y1 = y2 + 1 and y2 = y1 have no fixed point, so the true coupled solve stops unconverged.
+        toy = toy_problem()
+        drifting = dataclasses.replace(toy, disciplines=(
+            dataclasses.replace(toy.disciplines[0], fn=lambda Z, Y: Y[:, 0] + 1.0),
+            dataclasses.replace(toy.disciplines[1], fn=lambda Z, Y: Y[:, 0]),
+        ))
+        record = small_record(seed=0)
+        f, state = drifting.true_objective(record.final_z)
+        assert np.isnan(f) and state.status[0] != 0
+        summary = summarize(drifting, [record], toy.reference)
+        assert (summary.n_runs, summary.n_converged) == (1, 0)
+        assert all(v.mean_converged is None for v in summary.variables)
 
     def test_summary_with_no_records(self):
         problem = toy_problem()

@@ -1,3 +1,4 @@
+import logging
 import warnings
 from dataclasses import replace
 
@@ -233,8 +234,13 @@ class TestSolveMdo:
         np.testing.assert_allclose(z_sur, direct.z, atol=1e-2)
 
 
+def skipped_refinements(caplog):
+    """The messages of the WARNING records on ``mdots.thompson``: one per skipped refinement."""
+    return [r.getMessage() for r in caplog.records if r.name == "mdots.thompson" and r.levelno == logging.WARNING]
+
+
 class TestFailureHandling:
-    def test_failed_true_evaluation_skips_refinement(self):
+    def test_failed_true_evaluation_skips_refinement(self, caplog):
         problem = toy_problem()
         calls = {"n": 0}
         original = problem.disciplines[0].fn
@@ -256,8 +262,9 @@ class TestFailureHandling:
             reference=problem.reference,
         )
         cfg = ExperimentConfig(n_doe=4, n_iter=2, seed=91)
-        with pytest.warns(UserWarning, match="skipping refinement"):
-            record = run_mdo_ts(flaky_problem, cfg)
+        record = run_mdo_ts(flaky_problem, cfg)
+        (message,) = skipped_refinements(caplog)
+        assert "skipping refinement" in message
         skipped = [e for e in record.iterations if not e.refined]
         assert len(skipped) == 1
         assert skipped[0].discipline == 0
@@ -270,7 +277,7 @@ class TestFailureHandling:
         "channel, note",
         [("raise", "discipline 'f1': solver crashed"), ("nan", "discipline 'f1' returned non-finite output")],
     )
-    def test_failed_refinement_warns_once_with_its_cause(self, channel, note):
+    def test_failed_refinement_warns_once_with_its_cause(self, caplog, channel, note):
         problem = toy_problem()
         calls = {"n": 0}
         original = problem.disciplines[0].fn
@@ -285,11 +292,8 @@ class TestFailureHandling:
 
         flaky_disc = replace(problem.disciplines[0], fn=flaky)
         flaky_problem = replace(problem, disciplines=(flaky_disc, problem.disciplines[1]))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            record = run_mdo_ts(flaky_problem, ExperimentConfig(n_doe=4, n_iter=1, seed=91))
-        about_the_loop = [str(w.message) for w in caught if "iteration" in str(w.message)]
-        assert about_the_loop == [f"skipping refinement of discipline 0 at iteration 1: {note}"]
+        record = run_mdo_ts(flaky_problem, ExperimentConfig(n_doe=4, n_iter=1, seed=91))
+        assert skipped_refinements(caplog) == [f"skipping refinement of discipline 0 at iteration 1: {note}"]
         assert [e.refined for e in record.iterations] == [False, True]
 
 
