@@ -66,7 +66,7 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def _cmd_run(args, parser) -> int:
-    cfg = _resolve_config(args, parser)
+    cfg = dataclasses.replace(_resolve_config(args, parser), repeat=1)  # a run's header promises no replicates
     started = time.perf_counter()
     record = run_replicate(cfg, 0, out_dir=cfg.out)
     elapsed = time.perf_counter() - started

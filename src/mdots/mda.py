@@ -91,20 +91,21 @@ class CouplingResult:
 
 
 def evaluate(disc, Z: np.ndarray, Y_in: np.ndarray):
-    """Call ``disc`` on ``(Z, Y_in)``: its ``(n, n_out)`` outputs, all NaN if it raised ``DisciplineFailure``.
+    """Call ``disc`` on ``(Z, Y_in)`` with NumPy's float errors ignored: ``(out, failed, note)``.
 
-    Also returns a failure note naming the discipline and the cause, or None
-    when every row is finite. An output of the wrong size raises
-    ``ValueError``. Callers hold ``np.errstate``: a sweep enters it once.
+    ``out`` is ``(n, n_out)``, all NaN if ``disc`` raised ``DisciplineFailure``.
+    ``failed`` masks its non-finite rows, every row on a raise. ``note`` names
+    the discipline and the cause, or is None when no row failed. An output of
+    the wrong size raises ``ValueError``.
     """
     n = Z.shape[0]
     try:
-        out = np.asarray(disc.fn(Z, Y_in), dtype=float).reshape(n, disc.produces.size)
+        with np.errstate(all="ignore"):
+            out = np.asarray(disc.fn(Z, Y_in), dtype=float).reshape(n, disc.produces.size)
     except DisciplineFailure as exc:
-        return np.full((n, disc.produces.size), np.nan), f"discipline {disc.name!r}: {exc}"
-    if np.isfinite(out).all():
-        return out, None
-    return out, f"discipline {disc.name!r} returned non-finite output"
+        return np.full((n, disc.produces.size), np.nan), np.ones(n, dtype=bool), f"discipline {disc.name!r}: {exc}"
+    failed = ~np.isfinite(out).all(axis=1)
+    return out, failed, (f"discipline {disc.name!r} returned non-finite output" if failed.any() else None)
 
 
 def aitken_update(omega: np.ndarray, delta_prev: np.ndarray, delta_curr: np.ndarray) -> np.ndarray:
@@ -187,16 +188,14 @@ def solve_batch(disciplines, Z: np.ndarray, y0: np.ndarray, cfg: MdaConfig) -> C
             break
         y_new = y_act.copy()
         failed = None
-        with np.errstate(all="ignore"):
-            for disc in disciplines:
-                out, note = evaluate(disc, Z_act, y_new[:, disc.consumes])
-                y_new[:, disc.produces] = out
-                if note is not None:
-                    bad = ~np.isfinite(out).all(axis=1)
-                    failed = bad if failed is None else failed | bad
-                    failure_note = failure_note or note
-                    if failed.all():  # no row is left for the later disciplines
-                        break
+        for disc in disciplines:
+            out, bad, note = evaluate(disc, Z_act, y_new[:, disc.consumes])
+            y_new[:, disc.produces] = out
+            if note is not None:
+                failed = bad if failed is None else failed | bad
+                failure_note = failure_note or note
+                if failed.all():  # no row is left for the later disciplines
+                    break
 
         if failed is not None:  # a failed row keeps its last valid iterate
             retire(failed, MdaStatus.EVALUATOR_FAILURE, sweep)

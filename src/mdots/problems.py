@@ -231,11 +231,10 @@ def initial_doe_training_sets(problem: MdoProblem, n_doe: int, rng) -> list[Trai
         pts = lhs(box, n_doe, rng)
         Z = pts[:, : problem.d_z]
         Yin = pts[:, problem.d_z :]
-        with np.errstate(all="ignore"):
-            out, note = evaluate(disc, Z, Yin)
-        ok = np.isfinite(out).all(axis=1)
+        out, failed, note = evaluate(disc, Z, Yin)
         if note is not None:
-            log.warning("dropping %d failed DoE point(s) for discipline %r: %s", (~ok).sum(), disc.name, note)
+            log.warning("dropping %d failed DoE point(s) for discipline %r: %s", failed.sum(), disc.name, note)
+        ok = ~failed
         if ok.sum() < 2:
             raise RuntimeError(f"fewer than two usable DoE points for discipline {disc.name!r}")
         sets.append(TrainingSet(inputs=pts[ok], targets=out[ok]))

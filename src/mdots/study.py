@@ -132,14 +132,17 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
                     outcome = None, str(exc), time.perf_counter() - started
                 finish(futures[future], done, *outcome)
     records.sort(key=lambda r: r.replicate)
-    return records, summarize_study(cfg, records, n_runs=cfg.repeat)
+    return records, summarize_study(cfg, records)
 
 
-def summarize_study(cfg: ExperimentConfig, records, n_runs: int | None = None) -> StudySummary:
-    """The study table of ``records``, judged against the reference of the problem ``cfg`` names."""
+def summarize_study(cfg: ExperimentConfig, records) -> StudySummary:
+    """The study table of ``records``, judged against the reference of the problem ``cfg`` names.
+
+    A replicate that failed left no record; it still counts among ``cfg.repeat`` runs, as not converged.
+    """
     with build_problem(cfg) as problem:
         reference = resolve_reference(problem, recompute=cfg.recompute_reference)
-        return summarize(problem, records, reference, n_runs=n_runs)
+        return summarize(problem, records, reference, n_runs=max(cfg.repeat, len(records)))
 
 
 def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: float = REFERENCE_TOL) -> ReferenceSolution:
@@ -155,10 +158,9 @@ def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: f
 def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs: int | None = None) -> StudySummary:
     """Apply the relative convergence criterion and average the converged runs.
 
-    ``n_runs`` defaults to the number of records; a study that lost
-    replicates to hard failures passes the intended count explicitly. A
-    record of another problem, or with a final design of another length, is
-    a ValueError.
+    ``n_runs`` defaults to the number of records; ``summarize_study`` passes
+    the study's own count. A record of another problem, or with a final
+    design of another length, is a ValueError.
     """
     z_found = np.empty((len(records), problem.d_z))
     f_found = np.empty(len(records))

@@ -272,8 +272,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
             y_refine = np.clip(y_cons, lo[cons], hi[cons])
             clamped = status != MdaStatus.CONVERGED or bool(np.any(y_refine != y_cons))
 
-            with np.errstate(all="ignore"):
-                out, note = evaluate(problem.disciplines[m], z_hat[None, :], y_refine[None, :])
+            out, _, note = evaluate(problem.disciplines[m], z_hat[None, :], y_refine[None, :])
             refined = note is None
             if refined:
                 refine_discipline(sset, m, np.concatenate([z_hat, y_refine]), out[0], doe_rng)

@@ -7,7 +7,6 @@ whatever worker width the machine offers.
 
 import os
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -37,13 +36,6 @@ def criterion(number, description):
     print(f"PASS criterion {number}: {description}")
 
 
-@contextmanager
-def quiet():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        yield
-
-
 def test_criterion_1_sellar_study_desk_scale():
     with criterion(1, "Sellar study 20 replicates: >=16 converged, mean |rel err| <= 1%"):
         started = time.perf_counter()
@@ -55,8 +47,7 @@ def test_criterion_1_sellar_study_desk_scale():
             repeat=20,
             seed=20250808,
         )
-        with quiet():
-            records, summary = run_study(cfg)
+        records, summary = run_study(cfg)
         elapsed = time.perf_counter() - started
         assert summary.n_runs == 20
         assert summary.n_converged >= 16, f"only {summary.n_converged}/20 converged"
@@ -73,8 +64,7 @@ def test_criterion_2_toy_problem_budget_and_quality():
         hits = 0
         for seed in range(10):
             cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=3, seed=seed)
-            with quiet():
-                record = run_replicate(cfg, 0)
+            record = run_replicate(cfg, 0)
             assert record.evaluations_per_discipline() == [7, 7]
             f_found, state = problem.true_objective(record.final_z)
             if state.status[0] == MdaStatus.CONVERGED and convergence_check(TOY_REFERENCE, f_found):
@@ -219,14 +209,12 @@ def test_criterion_9_reproducibility(tmp_path):
     with criterion(9, "a run re-launched from its own record reproduces it bit for bit"):
         out = str(tmp_path / "runs")
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=2, seed=77)
-        with quiet():
-            record = run_replicate(cfg, 0, out_dir=out)
+        record = run_replicate(cfg, 0, out_dir=out)
         path = os.path.join(out, "run_0.ndjson")
         persisted = load_run_record(path)
         assert records_equal(record, persisted, ignore_timing=False)
 
-        with quiet():
-            again = run_from_record(persisted)
+        again = run_from_record(persisted)
         assert records_equal(persisted, again)  # wall-clock fields excluded
 
         # byte-level check modulo the timing line

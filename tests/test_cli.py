@@ -3,18 +3,11 @@ import json
 import logging
 import os
 import sys
-import warnings
 
 import pytest
 
 from mdots.cli import main
 from mdots.records import SUMMARY_COLUMNS, load_run_record, save_run_record
-
-
-def run_cli(argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return main(argv)
 
 
 def failed_replicates(caplog):
@@ -30,7 +23,7 @@ def quick_args():
 class TestRunCommand:
     def test_run_writes_record_and_prints_summary(self, tmp_path, capsys, quick_args):
         out = str(tmp_path / "runs")
-        code = run_cli(["run", *quick_args, "--out", out])
+        code = main(["run", *quick_args, "--out", out])
         assert code == 0
         printed = capsys.readouterr().out
         assert "z_star" in printed and "objective" in printed
@@ -42,7 +35,7 @@ class TestRunCommand:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 4, "n_iter": 0, "seed": 2, "features": 500}))
         out = str(tmp_path / "runs")
-        code = run_cli(["run", "--config", str(cfg_file), "--seed", "9", "--out", out])
+        code = main(["run", "--config", str(cfg_file), "--seed", "9", "--out", out])
         assert code == 0
         record = load_run_record(os.path.join(out, "run_0.ndjson"))
         assert record.config["seed"] == 9  # flag wins
@@ -52,12 +45,12 @@ class TestRunCommand:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"problem": "toy", "bogus": 1}))
         with pytest.raises(SystemExit) as exc:
-            run_cli(["run", "--config", str(cfg_file)])
+            main(["run", "--config", str(cfg_file)])
         assert exc.value.code == 2
 
     def test_invalid_n_doe_rejected(self):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["run", "--problem", "toy", "--n-doe", "1"])
+            main(["run", "--problem", "toy", "--n-doe", "1"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("setting", [{"de_tol": float("nan")}])
@@ -67,7 +60,7 @@ class TestRunCommand:
         cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 4, "n_iter": 0, **setting}))
         out = tmp_path / "runs"
         with pytest.raises(SystemExit) as exc:
-            run_cli(["run", "--config", str(cfg_file), "--out", str(out)])
+            main(["run", "--config", str(cfg_file), "--out", str(out)])
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1
@@ -78,7 +71,7 @@ class TestRunCommand:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text("[1, 2]")
         with pytest.raises(SystemExit) as exc:
-            run_cli(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
+            main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "JSON object" in errors[0]
@@ -90,7 +83,7 @@ class TestRunCommand:
         if text is not None:
             cfg_file.write_text(text)
         with pytest.raises(SystemExit) as exc:
-            run_cli(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
+            main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"cannot read {cfg_file}" in errors[0]
@@ -100,15 +93,22 @@ class TestRunCommand:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"problem": "toy", "gp_isotropic": False}))
         with pytest.raises(SystemExit) as exc:
-            run_cli(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
+            main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
         assert exc.value.code == 2
         assert "unknown setting 'gp_isotropic'" in capsys.readouterr().err
+
+    def test_run_record_header_promises_one_replicate(self, tmp_path, quick_args):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"repeat": 3}))
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(config), *quick_args, "--out", str(out)]) == 0
+        assert load_run_record(str(out / "run_0.ndjson")).config["repeat"] == 1
 
 
 class TestStudyCommand:
     def test_study_writes_summary(self, tmp_path, capsys, quick_args):
         out = str(tmp_path / "study")
-        code = run_cli(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", out])
+        code = main(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", out])
         assert code == 0
         assert os.path.exists(os.path.join(out, "summary.csv"))
         assert os.path.exists(os.path.join(out, "run_1.ndjson"))
@@ -130,7 +130,7 @@ class TestStudyCommand:
         spec_path.write_text(json.dumps(spec))
         out = str(tmp_path / "not" / "made" / "yet")
         argv = ["study", "--problem", "external", "--external-cmd", str(spec_path), "--n-doe", "2", "--n-iter", "0"]
-        code = run_cli([*argv, "--repeat", "1", "--workers", "1", "--out", out])
+        code = main([*argv, "--repeat", "1", "--workers", "1", "--out", out])
         assert code == 0
         assert os.listdir(out) == ["summary.csv"]
         assert "runs=1 converged=0" in capsys.readouterr().out
@@ -150,7 +150,7 @@ class TestStudyCommand:
         cfg_file.write_text(json.dumps({"problem": "toy", "de_window": 0}))
         out = tmp_path / "study"
         with pytest.raises(SystemExit) as exc:
-            run_cli(["study", "--config", str(cfg_file), "--repeat", "2", "--workers", "1", "--out", str(out)])
+            main(["study", "--config", str(cfg_file), "--repeat", "2", "--workers", "1", "--out", str(out)])
         assert exc.value.code == 2
         assert "window must be positive" in capsys.readouterr().err
         assert not out.exists()
@@ -161,7 +161,7 @@ class TestStudyCommand:
         cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 3, "n_iter": 1, "reference_tol": 1e-10}))
         out = tmp_path / "study"
         with pytest.raises(SystemExit) as exc:
-            run_cli(["study", "--config", str(cfg_file), "--repeat", "1", "--workers", "1", "--out", str(out)])
+            main(["study", "--config", str(cfg_file), "--repeat", "1", "--workers", "1", "--out", str(out)])
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "unknown setting 'reference_tol'" in errors[0]
@@ -175,7 +175,7 @@ class TestStudyCommand:
         cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 3, "n_iter": 1, "workers": 1, **setting}))
         out = tmp_path / "study"
         with pytest.raises(SystemExit) as exc:
-            run_cli(["study", "--config", str(cfg_file), "--repeat", "2", "--out", str(out)])
+            main(["study", "--config", str(cfg_file), "--repeat", "2", "--out", str(out)])
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         (name,) = setting
@@ -189,7 +189,7 @@ class TestStudyCommand:
         out = tmp_path / "study"
         for argv, named in ((["--config", str(cfg_file)], "unknown setting 'mda_tol'"), (["--mda-tol", "-1"], "--mda-tol")):
             with pytest.raises(SystemExit) as exc:
-                run_cli(["study", "--problem", "toy", *argv, "--out", str(out)])
+                main(["study", "--problem", "toy", *argv, "--out", str(out)])
             assert exc.value.code == 2
             errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
             assert len(errors) == 1 and named in errors[0]
@@ -200,7 +200,7 @@ class TestStudyCommand:
         out = tmp_path / "out"
         argv = [command, "--problem", "toy", "--n-doe", "3", "--n-iter", "1", "--features", "0", "--workers", "1"]
         with pytest.raises(SystemExit) as exc:
-            run_cli([*argv, "--out", str(out)])
+            main([*argv, "--out", str(out)])
         assert exc.value.code == 2
         assert "n_features" in capsys.readouterr().err
         assert not out.exists()
@@ -229,7 +229,7 @@ class TestExternalSpecErrors:
 
     def run_external(self, tmp_path, capsys, spec_path):
         argv = ["run", "--problem", "external", "--external-cmd", spec_path, "--out", str(tmp_path / "runs")]
-        code = run_cli(argv)
+        code = main(argv)
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -292,7 +292,7 @@ class TestExternalSpecErrors:
         argv = ["study", "--problem", "external", "--external-cmd", str(spec_path), "--n-doe", "2", "--n-iter", "0",
                 "--repeat", "2", "--workers", "1", "--out", str(out)]
         with caplog.at_level(logging.INFO, logger="mdots.study"):
-            assert run_cli(argv) == 1
+            assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "nonzero objective" in err[0]
         assert not list(out.glob("run_*.ndjson")) and not (out / "summary.csv").exists()
@@ -303,10 +303,10 @@ class TestExternalSpecErrors:
 class TestReportCommand:
     def test_report_emits_traces_and_aggregate(self, tmp_path, capsys, quick_args):
         out = str(tmp_path / "study")
-        assert run_cli(["study", *quick_args, "--n-iter", "1", "--repeat", "3", "--workers", "1", "--out", out]) == 0
+        assert main(["study", *quick_args, "--n-iter", "1", "--repeat", "3", "--workers", "1", "--out", out]) == 0
         capsys.readouterr()
         report_dir = str(tmp_path / "report")
-        code = run_cli(["report", out, "--out", report_dir])
+        code = main(["report", out, "--out", report_dir])
         assert code == 0
         for k in range(3):
             assert os.path.exists(os.path.join(report_dir, f"trace_run_{k}.csv"))
@@ -314,27 +314,37 @@ class TestReportCommand:
             header = next(csv.reader(fh))
         assert header == SUMMARY_COLUMNS
 
+    def test_missing_replicate_counts_as_a_run_as_in_the_study(self, tmp_path, capsys, quick_args):
+        # A replicate that failed leaves no record; the report's table counts it as the study's does.
+        out, report = tmp_path / "study", tmp_path / "report"
+        assert main(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
+        (out / "run_1.ndjson").unlink()
+        assert main(["report", str(out), "--out", str(report)]) == 0
+        for table in (out / "summary.csv", report / "aggregate.csv"):
+            with open(table, newline="") as fh:
+                assert {row["n_runs"] for row in csv.DictReader(fh)} == {"2"}, table.name
+
     @pytest.mark.parametrize("make_file", [True, False], ids=["a-file", "missing"])
     def test_path_that_is_not_a_directory_is_an_error(self, tmp_path, capsys, make_file):
         path = tmp_path / "run_0.ndjson"
         if make_file:
             path.write_text("")
-        assert run_cli(["report", str(path)]) == 1
+        assert main(["report", str(path)]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {path} is not a directory"]
 
     def test_empty_directory_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
-        code = run_cli(["report", str(empty)])
+        code = main(["report", str(empty)])
         assert code == 1
         assert "no records" in capsys.readouterr().err
 
     def test_malformed_records_skipped_and_counted(self, tmp_path, capsys, quick_args):
         out = str(tmp_path / "study")
-        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        assert main(["run", *quick_args, "--out", out]) == 0
         (tmp_path / "study" / "run_7.ndjson").write_text("garbage\n")
         capsys.readouterr()
-        code = run_cli(["report", out])
+        code = main(["report", out])
         assert code == 0
         captured = capsys.readouterr()
         assert "skipped=1" in captured.out
@@ -342,10 +352,10 @@ class TestReportCommand:
 
     def test_unreadable_entry_skipped_and_counted(self, tmp_path, capsys, quick_args):
         out = str(tmp_path / "study")
-        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        assert main(["run", *quick_args, "--out", out]) == 0
         (tmp_path / "study" / "run_9.ndjson").mkdir()  # named like a record, but opening it raises IsADirectoryError
         capsys.readouterr()
-        assert run_cli(["report", out]) == 0
+        assert main(["report", out]) == 0
         captured = capsys.readouterr()
         assert "traces=1" in captured.out and "skipped=1" in captured.out
         assert "skipped 1 malformed or unreadable" in captured.err
@@ -353,20 +363,20 @@ class TestReportCommand:
     def test_deeply_nested_record_skipped_and_counted(self, tmp_path, capsys, quick_args):
         # Decoding this line exceeds the recursion limit; it is one unreadable record, not a failed report.
         out = str(tmp_path / "study")
-        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        assert main(["run", *quick_args, "--out", out]) == 0
         (tmp_path / "study" / "run_1.ndjson").write_text("[" * 100000 + "]" * 100000 + "\n")
         capsys.readouterr()
-        assert run_cli(["report", out]) == 0
+        assert main(["report", out]) == 0
         captured = capsys.readouterr()
         assert "traces=1" in captured.out and "skipped=1" in captured.out
 
     def test_two_records_joined_in_one_file_skipped_and_counted(self, tmp_path, capsys, quick_args):
         # One file holding both runs must not be traced and counted as one merged run.
         out = tmp_path / "study"
-        assert run_cli(["study", *quick_args, "--n-iter", "1", "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
+        assert main(["study", *quick_args, "--n-iter", "1", "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
         (out / "run_0.ndjson").write_text((out / "run_0.ndjson").read_text() + (out / "run_1.ndjson").read_text())
         capsys.readouterr()
-        assert run_cli(["report", str(out)]) == 0
+        assert main(["report", str(out)]) == 0
         captured = capsys.readouterr()
         assert "traces=1" in captured.out and "skipped=1" in captured.out
         assert not (out / "trace_run_0.csv").exists()
@@ -375,7 +385,7 @@ class TestReportCommand:
         import mdots.cli as cli_mod
 
         out = tmp_path / "study"
-        assert run_cli(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
+        assert main(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
         (out / "run_0_copy.ndjson").write_text((out / "run_0.ndjson").read_text())
         traced = []
         write = cli_mod.write_trace_csv
@@ -386,7 +396,7 @@ class TestReportCommand:
 
         monkeypatch.setattr(cli_mod, "write_trace_csv", counted_write)
         capsys.readouterr()
-        assert run_cli(["report", str(out)]) == 0
+        assert main(["report", str(out)]) == 0
         captured = capsys.readouterr()
         assert "traces=2" in captured.out and "skipped=1" in captured.out
         assert "skipped 1 malformed or unreadable" in captured.err
@@ -402,13 +412,13 @@ class TestReportCommand:
     def test_header_of_the_wrong_type_skipped_and_counted(self, tmp_path, capsys, quick_args, field, value):
         # Unchecked, a string replicate fails the report with a TypeError and a JSON true is taken for replicate 1.
         out = tmp_path / "study"
-        assert run_cli(["study", *quick_args, "--repeat", "3", "--workers", "1", "--out", str(out)]) == 0
+        assert main(["study", *quick_args, "--repeat", "3", "--workers", "1", "--out", str(out)]) == 0
         path = out / "run_0.ndjson"
         header, rest = path.read_text().split("\n", 1)
         path.write_text(json.dumps({**json.loads(header), field: value}) + "\n" + rest)
         capsys.readouterr()
         report = tmp_path / "report"
-        assert run_cli(["report", str(out), "--out", str(report)]) == 0
+        assert main(["report", str(out), "--out", str(report)]) == 0
         printed = capsys.readouterr().out.split()
         assert "traces=2" in printed and "skipped=1" in printed
         assert sorted(p.name for p in report.glob("trace_run_*.csv")) == ["trace_run_1.csv", "trace_run_2.csv"]
@@ -430,7 +440,7 @@ class TestReportCommand:
     def test_record_line_of_the_wrong_type_skipped_and_counted(self, tmp_path, capsys, quick_args, kind, field, value):
         # Unchecked, a string random_value fails the report with a TypeError after an earlier trace is written.
         out = tmp_path / "study"
-        assert run_cli(["study", *quick_args, "--n-iter", "1", "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
+        assert main(["study", *quick_args, "--n-iter", "1", "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
         path = out / "run_1.ndjson"
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         target = next(obj for obj in lines if obj["kind"] == kind)
@@ -438,21 +448,21 @@ class TestReportCommand:
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
         capsys.readouterr()
         report = tmp_path / "report"
-        assert run_cli(["report", str(out), "--out", str(report)]) == 0
+        assert main(["report", str(out), "--out", str(report)]) == 0
         printed = capsys.readouterr().out.split()
         assert "traces=1" in printed and "skipped=1" in printed
         assert [p.name for p in report.glob("trace_run_*.csv")] == ["trace_run_0.csv"]
 
     def test_final_design_of_the_wrong_length_is_a_one_line_error_naming_it(self, tmp_path, capsys, quick_args):
         out = tmp_path / "study"
-        assert run_cli(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
+        assert main(["study", *quick_args, "--repeat", "2", "--workers", "1", "--out", str(out)]) == 0
         path = out / "run_1.ndjson"
         record = load_run_record(str(path))
         record.final_z = record.final_z * 2
         save_run_record(record, str(path))
         capsys.readouterr()
         report = tmp_path / "report"
-        assert run_cli(["report", str(out), "--out", str(report)]) == 1
+        assert main(["report", str(out), "--out", str(report)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: replicate 1's final design has 2 values; problem 'toy' has 1"]
         assert not (report / "aggregate.csv").exists()
@@ -461,13 +471,11 @@ class TestReportCommand:
         from mdots.study import ExperimentConfig, run_replicate
 
         out = tmp_path / "mixed"
-        assert run_cli(["run", *quick_args, "--out", str(out)]) == 0
+        assert main(["run", *quick_args, "--out", str(out)]) == 0
         sellar = ExperimentConfig(problem="sellar", n_doe=2, n_iter=0, n_features=50, de_max_generations=5, de_window=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_replicate(sellar, 1, out_dir=str(out))
+        run_replicate(sellar, 1, out_dir=str(out))
         capsys.readouterr()
-        assert run_cli(["report", str(out)]) == 1
+        assert main(["report", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "'sellar'" in err[0] and "'toy'" in err[0]
@@ -475,36 +483,36 @@ class TestReportCommand:
 
     def test_out_that_names_a_file_is_a_one_line_error(self, tmp_path, capsys, quick_args):
         out = str(tmp_path / "runs")
-        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        assert main(["run", *quick_args, "--out", out]) == 0
         taken = tmp_path / "taken"
         taken.write_text("")
         capsys.readouterr()
-        assert run_cli(["report", out, "--out", str(taken)]) == 1
+        assert main(["report", out, "--out", str(taken)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
 
     def test_record_config_with_a_setting_of_the_wrong_type_is_a_one_line_error(self, tmp_path, capsys, quick_args):
         out = str(tmp_path / "runs")
-        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        assert main(["run", *quick_args, "--out", out]) == 0
         path = os.path.join(out, "run_0.ndjson")
         record = load_run_record(path)
         record.config["de_tol"] = "x"
         save_run_record(record, path)
         capsys.readouterr()
-        assert run_cli(["report", out]) == 1
+        assert main(["report", out]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: de_tol ")
 
     def test_record_config_with_an_unknown_key_is_a_one_line_error(self, tmp_path, capsys, quick_args):
         # A record written by another version, e.g. one whose header still has a "gp" settings block.
         out = str(tmp_path / "runs")
-        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        assert main(["run", *quick_args, "--out", out]) == 0
         path = os.path.join(out, "run_0.ndjson")
         record = load_run_record(path)
         record.config["gp"] = {"nugget": 1e-7}
         save_run_record(record, path)
         capsys.readouterr()
-        assert run_cli(["report", out]) == 1
+        assert main(["report", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'gp'" in err
         assert len(err.strip().splitlines()) == 1
@@ -512,7 +520,7 @@ class TestReportCommand:
 
 class TestReferenceCommand:
     def test_prints_stored_reference(self, capsys):
-        code = run_cli(["reference", "--problem", "sellar"])
+        code = main(["reference", "--problem", "sellar"])
         assert code == 0
         printed = capsys.readouterr().out
         assert "-2.8085" in printed and "2.6345" in printed
@@ -522,13 +530,13 @@ class TestReferenceCommand:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"problem": "toy", "recompute_reference": "false"}))
         with pytest.raises(SystemExit) as exc:
-            run_cli(["reference", "--config", str(cfg_file)])
+            main(["reference", "--config", str(cfg_file)])
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "recompute_reference must be true or false" in errors[0]
 
     def test_recompute_toy_reference(self, capsys):
-        code = run_cli(["reference", "--problem", "toy", "--recompute-reference"])
+        code = main(["reference", "--problem", "toy", "--recompute-reference"])
         assert code == 0
         printed = capsys.readouterr().out
         # recomputed optimum agrees with the shipped constants to table precision
@@ -539,7 +547,7 @@ class TestReferenceCommand:
 class TestRecordCompatibility:
     def test_cli_record_reloads_through_library(self, tmp_path, quick_args):
         out = str(tmp_path / "runs")
-        assert run_cli(["run", *quick_args, "--out", out]) == 0
+        assert main(["run", *quick_args, "--out", out]) == 0
         path = os.path.join(out, "run_0.ndjson")
         record = load_run_record(path)
         save_run_record(record, path + ".copy")

@@ -270,10 +270,10 @@ class TestEvaluate:
 
     def test_finite_output_has_no_note(self):
         disc = Discipline("d", produces=[0], consumes=[0], fn=lambda Z, Y: Z[:, 0] + Y[:, 0])
-        out, note = mda.evaluate(disc, self.Z, self.Y)
+        out, failed, note = mda.evaluate(disc, self.Z, self.Y)
         assert out.shape == (3, 1) and out.dtype == float
         np.testing.assert_array_equal(out[:, 0], [1.5, 2.25, 3.0])
-        assert note is None
+        assert note is None and not failed.any()
 
     def test_one_non_finite_row(self):
         def nan_row_1(Z, Y):
@@ -282,9 +282,20 @@ class TestEvaluate:
             return out
 
         disc = Discipline("d", produces=[0], consumes=[0], fn=nan_row_1)
-        out, note = mda.evaluate(disc, self.Z, self.Y)
+        out, failed, note = mda.evaluate(disc, self.Z, self.Y)
         np.testing.assert_array_equal(np.isfinite(out[:, 0]), [True, False, True])
         np.testing.assert_array_equal(out[[0, 2], 0], [1.5, 3.0])
+        np.testing.assert_array_equal(failed, [False, True, False])
+        assert note == "discipline 'd' returned non-finite output"
+
+    @pytest.mark.filterwarnings("error")
+    def test_float_error_is_guarded_and_fails_its_row_only(self):
+        # No np.errstate here: the log of a negative coupling must not escape as a RuntimeWarning.
+        disc = Discipline("d", produces=[0], consumes=[0], fn=lambda Z, Y: Z[:, 0] + np.log(Y[:, 0]))
+        out, failed, note = mda.evaluate(disc, self.Z, np.array([[1.0], [-1.0], [1.0]]))
+        assert np.isnan(out[1, 0])
+        np.testing.assert_array_equal(out[[0, 2], 0], [1.0, 3.0])
+        np.testing.assert_array_equal(failed, [False, True, False])
         assert note == "discipline 'd' returned non-finite output"
 
     def test_raise_makes_every_row_nan(self):
@@ -292,8 +303,9 @@ class TestEvaluate:
             raise DisciplineFailure("solver crashed", kind="crash")
 
         disc = Discipline("d", produces=[0, 1], consumes=[0], fn=boom)
-        out, note = mda.evaluate(disc, self.Z, self.Y)
+        out, failed, note = mda.evaluate(disc, self.Z, self.Y)
         assert out.shape == (3, 2) and np.isnan(out).all()
+        assert failed.all()
         assert note == "discipline 'd': solver crashed"
 
     def test_other_exceptions_propagate(self):

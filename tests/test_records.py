@@ -4,7 +4,6 @@ import json
 import logging
 import os
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -53,9 +52,7 @@ OLD_HEADER_SETTINGS = {
 
 def small_record(seed=0):
     cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=1, seed=seed, de_max_generations=60)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run_replicate(cfg, 0)
+    return run_replicate(cfg, 0)
 
 
 class TestRoundTrip:
@@ -111,9 +108,7 @@ class TestRoundTrip:
     def test_two_records_joined_in_one_file_are_skipped_not_merged(self, tmp_path):
         # Loaded line by line, the join would read as one run with both runs' iterations.
         cfg = ExperimentConfig(problem="toy", n_doe=3, n_iter=1, repeat=2, workers=1, de_max_generations=60)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            records, _ = run_study(cfg, out_dir=str(tmp_path))
+        records, _ = run_study(cfg, out_dir=str(tmp_path))
         assert [r.evaluations_per_discipline() for r in records] == [[4, 4], [4, 4]]
         joined = (tmp_path / "run_0.ndjson").read_text() + (tmp_path / "run_1.ndjson").read_text()
         (tmp_path / "run_1.ndjson").unlink()
@@ -256,10 +251,8 @@ class TestRelaunch:
 
     def test_library_run_relaunches_and_reports(self, tmp_path):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=1, de_max_generations=60)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            record = run_mdo_ts(toy_problem(), cfg)
-            assert records_equal(record, run_from_record(record))
+        record = run_mdo_ts(toy_problem(), cfg)
+        assert records_equal(record, run_from_record(record))
         save_run_record(record, str(tmp_path / "run_0.ndjson"))
         assert main(["report", str(tmp_path)]) == 0
 
@@ -269,9 +262,7 @@ class TestStudy:
         cfg = ExperimentConfig(
             problem="toy", n_doe=4, n_iter=1, repeat=2, seed=3, workers=1, de_max_generations=60
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            records, summary = run_study(cfg, out_dir=str(tmp_path))
+        records, summary = run_study(cfg, out_dir=str(tmp_path))
         assert summary.n_runs == 2
         assert 0 <= summary.n_converged <= 2
         assert sorted(p.name for p in tmp_path.glob("run_*.ndjson")) == ["run_0.ndjson", "run_1.ndjson"]
@@ -280,19 +271,15 @@ class TestStudy:
 
     def test_replicate_index_not_order_controls_results(self):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=0, repeat=2, seed=9, workers=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            records, _ = run_study(cfg)
-            solo = run_replicate(cfg, 1)
+        records, _ = run_study(cfg)
+        solo = run_replicate(cfg, 1)
         assert records_equal(records[1], solo)
 
     def test_pool_width_does_not_change_results(self):
         # only the config echo (workers) and wall clocks may differ
         base = dict(problem="toy", n_doe=4, n_iter=0, repeat=2, seed=21)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            serial, _ = run_study(ExperimentConfig(workers=1, **base))
-            pooled, _ = run_study(ExperimentConfig(workers=2, **base))
+        serial, _ = run_study(ExperimentConfig(workers=1, **base))
+        pooled, _ = run_study(ExperimentConfig(workers=2, **base))
         for a, b in zip(serial, pooled):
             assert (a.problem, a.replicate, a.doe, a.iterations, a.final_z, a.final_value) == (
                 b.problem,
@@ -378,8 +365,7 @@ class TestStudy:
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
     def test_each_finished_replicate_is_logged(self, caplog, workers):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=0, repeat=3, seed=21, workers=workers)
-        with caplog.at_level(logging.INFO, logger="mdots.study"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with caplog.at_level(logging.INFO, logger="mdots.study"):
             records, _ = run_study(cfg)
         lines = [r for r in caplog.records if r.name == "mdots.study"]
         assert [r.levelno for r in lines] == [logging.INFO] * 3
@@ -393,10 +379,8 @@ class TestStudy:
 
     def test_single_replicate_degenerates_to_run(self):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=0, repeat=1, seed=4, workers=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            records, summary = run_study(cfg)
-            record = run_replicate(cfg, 0)
+        records, summary = run_study(cfg)
+        record = run_replicate(cfg, 0)
         assert summary.n_runs == 1
         assert records_equal(records[0], record)
 

@@ -8,8 +8,6 @@ into ``mdots.thompson``. Both runs share the machine's BLAS and libm, so the
 check holds wherever it runs, unlike a hash of a record.
 """
 
-import warnings
-
 import numpy as np
 
 import mdots.thompson as thompson
@@ -71,9 +69,7 @@ def reference_mean_evaluators(sset):
 
 def toy_run():
     cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=2, n_features=64, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return thompson.run_mdo_ts(toy_problem(), cfg)
+    return thompson.run_mdo_ts(toy_problem(), cfg)
 
 
 def test_toy_run_matches_the_reference_evaluators(monkeypatch):

@@ -1,5 +1,4 @@
 import logging
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,14 +20,6 @@ from mdots.thompson import (
     run_mdo_ts,
     solve_mdo,
 )
-
-QUIET = {"category": UserWarning}
-
-
-def quiet_run(problem, cfg, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run_mdo_ts(problem, cfg, **kwargs)
 
 
 def single_discipline_problem():
@@ -55,7 +46,7 @@ def dense_surrogate_set(zs, targets, seed):
 class TestRunBudget:
     def test_toy_budget_and_alternation(self):
         cfg = ExperimentConfig(n_doe=4, n_iter=3, seed=1)
-        record = quiet_run(toy_problem(), cfg)
+        record = run_mdo_ts(toy_problem(), cfg)
         assert record.evaluations_per_discipline() == [7, 7]
         assert len(record.iterations) == 3 * 2
         assert [e.discipline for e in record.iterations] == [0, 1, 0, 1, 0, 1]
@@ -65,7 +56,7 @@ class TestRunBudget:
         problem = toy_problem()
         cfg = ExperimentConfig(n_doe=4, n_iter=0, seed=5)
         seeds = replicate_seeds(cfg.seed, 0)
-        record = quiet_run(problem, cfg)
+        record = run_mdo_ts(problem, cfg)
         assert record.iterations == []
         assert record.evaluations_per_discipline() == [4, 4]
 
@@ -82,7 +73,7 @@ class TestRunBudget:
     def test_proposals_stay_inside_boxes(self):
         problem = toy_problem()
         cfg = ExperimentConfig(n_doe=4, n_iter=3, seed=11)
-        record = quiet_run(problem, cfg)
+        record = run_mdo_ts(problem, cfg)
         for entry in record.iterations:
             z = np.asarray(entry.z_hat)
             assert np.all(z >= problem.z_bounds[:, 0]) and np.all(z <= problem.z_bounds[:, 1])
@@ -94,9 +85,9 @@ class TestRunBudget:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            quiet_run(toy_problem(), ExperimentConfig(n_doe=1, n_iter=1))
+            run_mdo_ts(toy_problem(), ExperimentConfig(n_doe=1, n_iter=1))
         with pytest.raises(ValueError):
-            quiet_run(toy_problem(), ExperimentConfig(n_doe=4, n_iter=-1))
+            run_mdo_ts(toy_problem(), ExperimentConfig(n_doe=4, n_iter=-1))
 
     @pytest.mark.parametrize(
         "bad",
@@ -146,8 +137,8 @@ class TestReproducibility:
         from mdots.records import records_equal
 
         cfg = ExperimentConfig(n_doe=4, n_iter=2, seed=21)
-        a = quiet_run(toy_problem(), cfg)
-        b = quiet_run(toy_problem(), cfg)
+        a = run_mdo_ts(toy_problem(), cfg)
+        b = run_mdo_ts(toy_problem(), cfg)
         assert records_equal(a, b)
 
     def test_different_path_seeds_generally_differ(self):
@@ -155,8 +146,8 @@ class TestReproducibility:
         # by TestSolveMdo.test_two_seeds_two_proposals
         base = ExperimentConfig(n_doe=4, n_iter=1, seed=31)
         other = ExperimentConfig(n_doe=4, n_iter=1, seed=99)
-        a = quiet_run(toy_problem(), base)
-        b = quiet_run(toy_problem(), other)
+        a = run_mdo_ts(toy_problem(), base)
+        b = run_mdo_ts(toy_problem(), other)
         assert a.iterations[0].z_hat != b.iterations[0].z_hat
 
 
@@ -164,7 +155,7 @@ class TestMonotoneInformation:
     def test_variance_collapses_at_refined_points(self):
         problem = toy_problem()
         cfg = ExperimentConfig(n_doe=4, n_iter=2, seed=41)
-        record = quiet_run(problem, cfg)
+        record = run_mdo_ts(problem, cfg)
 
         rng = np.random.default_rng(replicate_seeds(cfg.seed, 0).doe)
         from mdots.problems import initial_doe_training_sets

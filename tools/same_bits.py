@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +82,5 @@ def main_digests(tmp: Path) -> None:
 
 
 if __name__ == "__main__":
-    with warnings.catch_warnings(), tempfile.TemporaryDirectory(prefix="same-bits-") as tmp:
-        warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory(prefix="same-bits-") as tmp:
         main_digests(Path(tmp))
