@@ -1,4 +1,4 @@
-"""Command-line front end: single runs, replicate studies, reports, references.
+"""Command-line front end: single runs, replicate studies, reports, paired comparisons, references.
 
 Every flag can also be supplied through a JSON config file (keys are the
 flag names with underscores); explicit flags override file values.
@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from .compare import compare_records, paired_config, write_compare_csv
 from .records import load_records_dir, write_summary_csv, write_trace_csv
 from .study import ExperimentConfig, build_problem, resolve_reference, run_replicate, run_study, summarize_study
 from .thompson import PROBLEMS
@@ -97,13 +98,17 @@ def _cmd_study(args, parser) -> int:
     return 0
 
 
+def _load_records(directory: str):
+    """``load_records_dir`` of ``directory``; a path that is not a directory is a ValueError."""
+    if not os.path.isdir(directory):
+        raise ValueError(f"{directory} is not a directory")
+    return load_records_dir(directory)
+
+
 def _cmd_report(args, parser) -> int:
     records_dir = args.records_dir
     out_dir = args.out or records_dir
-    if not os.path.isdir(records_dir):
-        print(f"error: {records_dir} is not a directory", file=sys.stderr)
-        return 1
-    records, skipped = load_records_dir(records_dir)
+    records, skipped = _load_records(records_dir)
     if not records:
         print(f"error: no records found in {records_dir}", file=sys.stderr)
         return 1
@@ -117,6 +122,31 @@ def _cmd_report(args, parser) -> int:
     if skipped:
         print(f"warning: skipped {skipped} malformed or unreadable record file(s) or repeated replicate(s)", file=sys.stderr)
     return 0
+
+
+def _cmd_compare(args, parser) -> int:
+    loaded = []
+    for directory in (args.base_dir, args.change_dir):
+        records, skipped = _load_records(directory)
+        if skipped:
+            print(f"warning: skipped {skipped} malformed or unreadable record file(s) or repeated replicate(s) "
+                  f"in {directory}", file=sys.stderr)
+        loaded.append(records)
+    c = compare_records(paired_config(*loaded), *loaded)
+    print(f"problem={c.problem} runs={c.n_runs}")
+    for side in ("base", "change"):
+        low, high = c.interval(side)
+        print(f"  {side:>6}: converged={c.converged[side]}/{c.n_runs} wilson95=[{low:.3f}, {high:.3f}]")
+    print(f"  b={len(c.lost)} (converged in the base only) c={len(c.gained)} (in the change only) "
+          f"mcnemar_p={c.p_value:.4g}")
+    print(f"  changed status: lost={c.lost} gained={c.gained}")
+    for label, figures in (("abs_rel_err_pct", c.abs_rel_err_pct), ("true_evaluations", c.evaluations)):
+        shown = {side: "-" if v is None else f"mean={v[0]:.4g} median={v[1]:.4g}" for side, v in figures.items()}
+        print(f"  {label} over {c.n_paired} paired runs: base {shown['base']}; change {shown['change']}")
+    csv_path = os.path.join(args.change_dir, "compare.csv")
+    write_compare_csv(c, csv_path)
+    print(f"verdict={'pass' if c.passed else 'fail'} compare={csv_path}")
+    return 0 if c.passed else 3
 
 
 def _cmd_reference(args, parser) -> int:
@@ -145,6 +175,11 @@ def main(argv=None) -> int:
     p_report.add_argument("records_dir", help="directory holding run_<k>.ndjson files")
     p_report.add_argument("--out", help="output directory (defaults to the records directory)")
     p_report.set_defaults(handler=_cmd_report)
+
+    p_compare = sub.add_parser("compare", help="paired quality verdict of two study directories made on the same seeds")
+    p_compare.add_argument("base_dir", help="records of the base study")
+    p_compare.add_argument("change_dir", help="records of the changed study; compare.csv is written here")
+    p_compare.set_defaults(handler=_cmd_compare)
 
     p_ref = sub.add_parser("reference", help="print (or recompute) the reference optimum")
     _add_common(p_ref)

@@ -30,12 +30,15 @@ __all__ = [
 
 TRACE_COLUMNS = ["iteration", "discipline", "random_value", "best_value"]
 SUMMARY_COLUMNS = ["problem", "n_runs", "n_converged", "variable", "reference", "mean_converged", "mean_abs_pct_err"]
-SCHEMA_VERSION = 1
+# Version 2: one design solve per iteration, every discipline evaluated at its proposal. Version 1 records,
+# written by the round-robin loop (one design solve per entry), have the same lines and still load.
+SCHEMA_VERSION = 2
+READABLE_VERSIONS = (1, SCHEMA_VERSION)
 
 
 @dataclass
 class IterationEntry:
-    """One inner step: proposal, coupling state, true evaluation, refinement flag."""
+    """One discipline's step of an iteration: the shared proposal and coupling state, its true evaluation, refinement flag."""
 
     iteration: int
     discipline: int
@@ -157,7 +160,7 @@ def load_run_record(path: str) -> RunRecord:
     if missing:
         raise ValueError(f"incomplete run record: no {', '.join(missing)} line")
     record = RunRecord(iterations=iterations, **{name: v for fields in slots.values() for name, v in fields.items()})
-    if record.schema_version != SCHEMA_VERSION:
+    if record.schema_version not in READABLE_VERSIONS:
         raise ValueError(f"unsupported schema version {record.schema_version}")
     return record
 

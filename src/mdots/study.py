@@ -13,7 +13,7 @@ from .evolution import DeConfig, de_minimize, penalized_mdo_objective
 from .external import load_external_problem
 from .mda import REFERENCE_TOL, MdaConfig
 from .problems import MdoProblem, ReferenceSolution, sellar_problem, toy_problem
-from .records import RunRecord, save_run_record
+from .records import SCHEMA_VERSION, RunRecord, save_run_record
 from .thompson import ExperimentConfig, convergence_check, run_mdo_ts
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "run_study",
     "run_from_record",
     "resolve_reference",
+    "judge_record",
     "summarize",
     "summarize_study",
 ]
@@ -72,7 +73,10 @@ def run_replicate(cfg: ExperimentConfig, k: int, out_dir: str | None = None) -> 
 
 
 def run_from_record(record: RunRecord, out_dir: str | None = None) -> RunRecord:
-    """Re-launch a run from the config embedded in its record."""
+    """Re-launch a run from the config embedded in its record; a record of an earlier schema version is a ValueError."""
+    if record.schema_version != SCHEMA_VERSION:
+        raise ValueError(f"a schema version {record.schema_version} record was written by the round-robin loop "
+                         "and cannot be re-launched bit for bit")
     cfg = ExperimentConfig.from_dict(record.config)
     return run_replicate(cfg, record.replicate, out_dir=out_dir)
 
@@ -155,26 +159,32 @@ def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: f
     return ReferenceSolution(z=result.z, objective=float(f_true))
 
 
-def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs: int | None = None) -> StudySummary:
+def judge_record(problem: MdoProblem, record: RunRecord, reference: ReferenceSolution) -> tuple[float, bool]:
+    """The true objective at a record's final design, and whether it converged within 1 % of ``reference``.
+
+    A record of another problem, or with a final design of another length, is a ValueError.
+    """
+    if record.problem != problem.problem_id:
+        raise ValueError(f"a record of problem {record.problem!r} in a summary of {problem.problem_id!r}")
+    if len(record.final_z) != problem.d_z:
+        raise ValueError(f"replicate {record.replicate}'s final design has {len(record.final_z)} values; "
+                         f"problem {problem.problem_id!r} has {problem.d_z}")
+    f, _ = problem.true_objective(np.asarray(record.final_z))
+    return f, bool(np.isfinite(f) and convergence_check(reference.objective, f))
+
+
+def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs: int) -> StudySummary:
     """Apply the relative convergence criterion and average the converged runs.
 
-    ``n_runs`` defaults to the number of records; ``summarize_study`` passes
-    the study's own count. A record of another problem, or with a final
-    design of another length, is a ValueError.
+    Each record is judged by ``judge_record``. ``n_runs`` is the study's run
+    count, which a failed replicate counts in without a record.
     """
     z_found = np.empty((len(records), problem.d_z))
     f_found = np.empty(len(records))
     mask = np.zeros(len(records), dtype=bool)
     for i, record in enumerate(records):
-        if record.problem != problem.problem_id:
-            raise ValueError(f"a record of problem {record.problem!r} in a summary of {problem.problem_id!r}")
-        if len(record.final_z) != problem.d_z:
-            raise ValueError(f"replicate {record.replicate}'s final design has {len(record.final_z)} values; "
-                             f"problem {problem.problem_id!r} has {problem.d_z}")
-        f, _ = problem.true_objective(np.asarray(record.final_z))
+        f_found[i], mask[i] = judge_record(problem, record, reference)
         z_found[i] = record.final_z
-        f_found[i] = f
-        mask[i] = np.isfinite(f) and convergence_check(reference.objective, f)
 
     variables = []
     names = [f"z{i + 1}" for i in range(problem.d_z)] + ["objective"]
@@ -189,7 +199,7 @@ def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs
         variables.append(VariableStat(name=name, reference=float(ref), mean_converged=mean, mean_abs_pct_err=err))
     return StudySummary(
         problem=problem.problem_id,
-        n_runs=len(records) if n_runs is None else n_runs,
+        n_runs=n_runs,
         n_converged=int(mask.sum()),
         variables=variables,
     )

@@ -1,13 +1,17 @@
 """The outer refinement loop: optimize posterior draws, evaluate, refit, repeat.
 
-Each inner step draws fresh sample paths for every discipline, finds the
+Each iteration draws fresh sample paths for every discipline, finds the
 design point minimizing the penalized coupled objective of those draws,
-evaluates one true discipline at the proposal and refits that discipline's
-surrogates with the new pair. After the refinement budget is spent, the
-final design comes from the same machinery run on posterior means.
+solves the drawn coupling at that proposal once, and then evaluates every
+true discipline there, in order, each at its consumed couplings, refitting
+its surrogates with the new pair. Each discipline has its own surrogate, so
+no evaluation needs a full MDA of the true system. After the refinement
+budget is spent, the final design comes from the same machinery run on
+posterior means.
 
-``ExperimentConfig`` holds every setting of a run or a study, and
-``replicate_seeds`` derives a replicate's random streams from its seed.
+``ExperimentConfig`` holds every setting of a run or a study;
+``replicate_seeds`` derives a replicate's random streams from its seed, and
+``de_seed`` the stream of each design solve.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "ExperimentConfig",
     "Seeds",
     "replicate_seeds",
+    "de_seed",
     "SurrogateSet",
     "fit_surrogate_set",
     "refine_discipline",
@@ -143,7 +148,7 @@ class ExperimentConfig:
             raise ValueError(f"record config has unknown setting(s): {', '.join(map(repr, unknown))}")
         return cls(**settings)
 
-    def de_config(self, seed: int) -> DeConfig:
+    def de_config(self, seed: np.random.SeedSequence) -> DeConfig:
         return DeConfig(max_generations=self.de_max_generations, window=self.de_window, tol=self.de_tol, seed=seed)
 
 
@@ -159,6 +164,16 @@ class Seeds:
 def replicate_seeds(seed_base: int, k: int) -> Seeds:
     """Replicate ``k``: DoE stream at base+k, paths and optimizer in offset bands."""
     return Seeds(doe=seed_base + k, paths=seed_base + PATH_SEED_OFFSET + k, de=seed_base + DE_SEED_OFFSET + k)
+
+
+def de_seed(seeds: Seeds, j: int) -> np.random.SeedSequence:
+    """The stream of a replicate's design solve ``j``: iteration ``j`` (0-based), or the final solve at ``j = n_iter``.
+
+    One child of the replicate's optimizer seed per solve, so no two solves
+    of a study share a stream, and the final solve after ``t`` iterations
+    draws what a run with ``n_iter = t`` draws.
+    """
+    return np.random.SeedSequence(seeds.de, spawn_key=(j,))
 
 
 @dataclass
@@ -240,10 +255,14 @@ def convergence_check(f_ref: float, f_found: float) -> bool:
 def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -> RunRecord:
     """Run the full loop: DoE, n_iter refinement rounds, final mean solve.
 
-    Every inner step refines exactly one discipline; a failed true
-    evaluation at a proposal skips that refinement with one WARNING on the
-    ``mdots.thompson`` logger that names the cause, and the run continues.
-    The seeds are those of replicate ``replicate`` of ``cfg.seed``. The
+    Each round makes one design solve on one drawn path system and one
+    coupled re-solve at its proposal, then evaluates and refits every
+    discipline in order at that proposal, recording one entry per
+    discipline; so each discipline gets ``n_doe + n_iter`` true evaluations.
+    A failed true evaluation skips that discipline's refinement with one
+    WARNING on the ``mdots.thompson`` logger that names the cause, and the
+    run continues. The seeds are those of replicate ``replicate`` of
+    ``cfg.seed``, design solve ``j`` taking ``de_seed(seeds, j)``. The
     record embeds the config, with ``problem`` set to the problem's id, so
     the run can be re-launched from the file alone.
     """
@@ -258,30 +277,29 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
 
     lo, hi = problem.y_bounds[:, 0], problem.y_bounds[:, 1]
     entries: list[IterationEntry] = []
-    for n in range(1, cfg.n_iter + 1):
-        for m in range(problem.n_disciplines):
-            # One entry per step, so the entries so far count the solves so far.
-            disciplines = problem.bind(path_evaluators(sset, cfg.n_features, path_rng))
-            z_hat, value = solve_mdo(disciplines, problem, cfg.de_config(seeds.de + len(entries)))
-            # The coupling at the proposal: a one-row re-solve (last iterate when unconverged).
-            state = gauss_seidel_solve(disciplines, z_hat, problem.y_midpoint(), SURROGATE_MDA)
-            y_hat, status = state.y[0], MdaStatus(int(state.status[0]))
+    for j in range(cfg.n_iter):
+        disciplines = problem.bind(path_evaluators(sset, cfg.n_features, path_rng))
+        z_hat, value = solve_mdo(disciplines, problem, cfg.de_config(de_seed(seeds, j)))
+        # The coupling at the proposal: a one-row re-solve (last iterate when unconverged).
+        state = gauss_seidel_solve(disciplines, z_hat, problem.y_midpoint(), SURROGATE_MDA)
+        y_hat, status = state.y[0], MdaStatus(int(state.status[0]))
 
-            cons = problem.disciplines[m].consumes
+        for m, discipline in enumerate(problem.disciplines):
+            cons = discipline.consumes
             y_cons = y_hat[cons]
             y_refine = np.clip(y_cons, lo[cons], hi[cons])
             clamped = status != MdaStatus.CONVERGED or bool(np.any(y_refine != y_cons))
 
-            out, _, note = evaluate(problem.disciplines[m], z_hat[None, :], y_refine[None, :])
+            out, _, note = evaluate(discipline, z_hat[None, :], y_refine[None, :])
             refined = note is None
             if refined:
                 refine_discipline(sset, m, np.concatenate([z_hat, y_refine]), out[0], doe_rng)
             else:
-                log.warning("skipping refinement of discipline %d at iteration %d: %s", m, n, note)
+                log.warning("skipping refinement of discipline %d at iteration %d: %s", m, j + 1, note)
 
             entries.append(
                 IterationEntry(
-                    iteration=n,
+                    iteration=j + 1,
                     discipline=m,
                     z_hat=z_hat.tolist(),
                     y_hat=y_hat.tolist(),
@@ -295,7 +313,7 @@ def run_mdo_ts(problem: MdoProblem, cfg: ExperimentConfig, replicate: int = 0) -
             )
     t_loop = time.perf_counter()
 
-    z_star, value_star = solve_mdo(problem.bind(mean_evaluators(sset)), problem, cfg.de_config(seeds.de + len(entries)))
+    z_star, value_star = solve_mdo(problem.bind(mean_evaluators(sset)), problem, cfg.de_config(de_seed(seeds, cfg.n_iter)))
     t_final = time.perf_counter()
 
     return RunRecord(

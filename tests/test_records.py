@@ -130,7 +130,7 @@ class TestRoundTrip:
             ("timing", lambda obj: {k: v for k, v in obj.items() if k != "kind"}, "unknown record line kind None"),
             ("timing", lambda obj: {**obj, "kind": ["timing"]}, r"unknown record line kind \['timing'\]"),
             ("timing", lambda obj: {**obj, "kind": "comment"}, "unknown record line kind 'comment'"),
-            ("header", lambda obj: {**obj, "schema_version": 2}, "unsupported schema version 2"),
+            ("header", lambda obj: {**obj, "schema_version": 3}, "unsupported schema version 3"),
             ("doe", lambda obj: {"kind": "doe"}, r"record doe line lacks or adds the fields \['sets'\]"),
             ("iteration", lambda obj: {**obj, "extra": 1}, r"iteration line lacks or adds the fields \[.extra.\]"),
             ("iteration", lambda obj: {k: v for k, v in obj.items() if k != "z_hat"}, r"iteration line .* \['z_hat'\]"),
@@ -248,6 +248,19 @@ class TestRelaunch:
             old = dataclasses.replace(record, config={**record.config, **OLD_HEADER_SETTINGS, name: value})
             with pytest.raises(ValueError, match=f"retired setting '{name}'"):
                 run_from_record(old)
+
+    def test_schema_version_1_record_loads_reports_and_compares_but_does_not_relaunch(self, tmp_path):
+        # Version 1 records, written by the round-robin loop, have the same lines as version 2 ones.
+        record = small_record(seed=5)
+        old = dataclasses.replace(record, schema_version=1)
+        v1, v2 = tmp_path / "v1", tmp_path / "v2"
+        save_run_record(old, str(v1 / "run_0.ndjson"))
+        save_run_record(record, str(v2 / "run_0.ndjson"))
+        assert load_run_record(str(v1 / "run_0.ndjson")) == old
+        assert main(["report", str(v1)]) == 0
+        assert main(["compare", str(v1), str(v2)]) == 0
+        with pytest.raises(ValueError, match="^a schema version 1 record was written by the round-robin loop"):
+            run_from_record(old)
 
     def test_library_run_relaunches_and_reports(self, tmp_path):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=1, de_max_generations=60)
@@ -389,7 +402,7 @@ class TestStudy:
         reference = resolve_reference(problem)
         good = small_record(seed=0)
         bad = dataclasses.replace(good, final_z=[4.9])  # far from the optimum
-        summary = summarize(problem, [good, bad], reference)
+        summary = summarize(problem, [good, bad], reference, n_runs=2)
         assert summary.n_runs == 2
         assert summary.n_converged <= 1
         if summary.n_converged == 1:
@@ -401,7 +414,7 @@ class TestStudy:
         ref = resolve_reference(problem)
         ref = dataclasses.replace(ref, z=np.array([0.0]))
         record = small_record(seed=0)
-        summary = summarize(problem, [record], ref)
+        summary = summarize(problem, [record], ref, n_runs=1)
         assert summary.variables[0].reference == 0.0
         assert summary.variables[0].mean_abs_pct_err is None
 
@@ -462,7 +475,7 @@ class TestStudy:
         record = small_record(seed=0)
         f, state = drifting.true_objective(record.final_z)
         assert np.isnan(f) and state.status[0] != 0
-        summary = summarize(drifting, [record], toy.reference)
+        summary = summarize(drifting, [record], toy.reference, n_runs=1)
         assert (summary.n_runs, summary.n_converged) == (1, 0)
         assert all(v.mean_converged is None for v in summary.variables)
 

@@ -13,6 +13,7 @@ from mdots.thompson import (
     ExperimentConfig,
     SurrogateSet,
     convergence_check,
+    de_seed,
     fit_surrogate_set,
     mean_evaluators,
     path_evaluators,
@@ -66,9 +67,48 @@ class TestRunBudget:
         rng = np.random.default_rng(seeds.doe)
         sets = initial_doe_training_sets(problem, 4, rng)
         sset = fit_surrogate_set(sets, rng)
-        z, value = solve_mdo(problem.bind(mean_evaluators(sset)), problem, cfg.de_config(seeds.de))
+        z, value = solve_mdo(problem.bind(mean_evaluators(sset)), problem, cfg.de_config(de_seed(seeds, 0)))
         np.testing.assert_array_equal(record.final_z, z.tolist())
         assert record.final_value == value
+
+    def test_one_proposal_per_iteration_serves_every_discipline(self):
+        record = run_mdo_ts(sellar_problem(), ExperimentConfig(n_doe=5, n_iter=2, n_features=64, seed=3,
+                                                                de_max_generations=20))
+        assert [(e.iteration, e.discipline) for e in record.iterations] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        for first, second in (record.iterations[0:2], record.iterations[2:4]):
+            assert (first.z_hat, first.y_hat, first.random_value) == (second.z_hat, second.y_hat, second.random_value)
+        # Each discipline is evaluated at the couplings it consumes, from that one coupled state.
+        problem = sellar_problem()
+        for entry in record.iterations:
+            cons = problem.disciplines[entry.discipline].consumes
+            clipped = np.clip(np.asarray(entry.y_hat)[cons], problem.y_bounds[cons, 0], problem.y_bounds[cons, 1])
+            assert entry.y_refine == clipped.tolist()
+
+    def test_design_solves_of_a_study_never_share_a_stream(self, monkeypatch):
+        import mdots.thompson as thompson
+
+        seeds = []
+        real = thompson.de_minimize
+
+        def recording(objective, bounds, cfg):
+            seeds.append(cfg.seed)
+            return real(objective, bounds, cfg)
+
+        monkeypatch.setattr(thompson, "de_minimize", recording)
+        cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=3, n_features=32, seed=17, de_max_generations=5)
+        for k in range(3):
+            run_mdo_ts(toy_problem(), cfg, replicate=k)
+        # Three design solves and the final one per replicate, each seeded by the one seed function.
+        expected = [de_seed(replicate_seeds(cfg.seed, k), j) for k in range(3) for j in range(4)]
+        state = lambda seed: np.random.default_rng(seed).bit_generator.state["state"]["state"]
+        assert [state(s) for s in seeds] == [state(s) for s in expected]
+        assert len({state(s) for s in seeds}) == len(seeds) == 12
+
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self):
+        cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=3, n_features=64, seed=8)
+        longer = run_mdo_ts(toy_problem(), cfg)
+        shorter = run_mdo_ts(toy_problem(), replace(cfg, n_iter=2))
+        assert shorter.iterations == longer.iterations[:4]
 
     def test_proposals_stay_inside_boxes(self):
         problem = toy_problem()
