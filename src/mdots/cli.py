@@ -99,40 +99,32 @@ def _cmd_study(args, parser) -> int:
 
 
 def _load_records(directory: str):
-    """``load_records_dir`` of ``directory``; a path that is not a directory is a ValueError."""
+    """``load_records_dir`` of ``directory``, warning of skipped files; a path that is not a directory is a ValueError."""
     if not os.path.isdir(directory):
         raise ValueError(f"{directory} is not a directory")
-    return load_records_dir(directory)
+    records, skipped = load_records_dir(directory)
+    if skipped:
+        print(f"warning: skipped {skipped} malformed or unreadable record file(s) or repeated replicate(s) "
+              f"in {directory}", file=sys.stderr)
+    return records, skipped
 
 
 def _cmd_report(args, parser) -> int:
-    records_dir = args.records_dir
-    out_dir = args.out or records_dir
-    records, skipped = _load_records(records_dir)
-    if not records:
-        print(f"error: no records found in {records_dir}", file=sys.stderr)
-        return 1
-    summary = summarize_study(ExperimentConfig.from_dict(records[0].config), records)
+    out_dir = args.out or args.records_dir
+    records, skipped = _load_records(args.records_dir)
+    summary = summarize_study(paired_config(study=records), records)
     os.makedirs(out_dir, exist_ok=True)
     for record in records:
         write_trace_csv(record, os.path.join(out_dir, f"trace_run_{record.replicate}.csv"))
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
     write_summary_csv(summary, aggregate_path)
     print(f"traces={len(records)} aggregate={aggregate_path} skipped={skipped}")
-    if skipped:
-        print(f"warning: skipped {skipped} malformed or unreadable record file(s) or repeated replicate(s)", file=sys.stderr)
     return 0
 
 
 def _cmd_compare(args, parser) -> int:
-    loaded = []
-    for directory in (args.base_dir, args.change_dir):
-        records, skipped = _load_records(directory)
-        if skipped:
-            print(f"warning: skipped {skipped} malformed or unreadable record file(s) or repeated replicate(s) "
-                  f"in {directory}", file=sys.stderr)
-        loaded.append(records)
-    c = compare_records(paired_config(*loaded), *loaded)
+    (base, _), (change, _) = (_load_records(directory) for directory in (args.base_dir, args.change_dir))
+    c = compare_records(paired_config(base=base, change=change), base, change)
     print(f"problem={c.problem} runs={c.n_runs}")
     for side in ("base", "change"):
         low, high = c.interval(side)

@@ -17,7 +17,7 @@ import math
 import statistics
 from dataclasses import asdict, dataclass
 
-from .study import ExperimentConfig, build_problem, judge_record, resolve_reference
+from .study import ExperimentConfig, judge_study
 
 __all__ = ["ALPHA", "COMPARE_COLUMNS", "Comparison", "wilson_interval", "mcnemar_p", "paired_config",
            "compare_records", "write_compare_csv"]
@@ -42,12 +42,12 @@ COMPARE_COLUMNS = [
 ]
 
 
-def wilson_interval(k: int, n: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson's score interval for ``k`` successes in ``n`` trials."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """Wilson's 95 % score interval for ``k`` successes in ``n`` trials."""
     p = k / n
-    centre = p + z * z / (2 * n)
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-    scale = 1 + z * z / n
+    centre = p + Z_95 * Z_95 / (2 * n)
+    half = Z_95 * math.sqrt(p * (1 - p) / n + Z_95 * Z_95 / (4 * n * n))
+    scale = 1 + Z_95 * Z_95 / n
     return max(0.0, (centre - half) / scale), min(1.0, (centre + half) / scale)
 
 
@@ -61,16 +61,23 @@ def _settings(cfg: ExperimentConfig) -> dict:
     return {name: value for name, value in asdict(cfg).items() if name not in UNPAIRED_SETTINGS}
 
 
-def paired_config(base_records, change_records) -> ExperimentConfig:
-    """The base study's config, read through ``ExperimentConfig.from_dict``; a header with other settings is a ValueError."""
-    if not base_records or not change_records:
-        raise ValueError(f"no records in the {'base' if not base_records else 'change'} directory")
-    cfg = ExperimentConfig.from_dict(base_records[0].config)
+def paired_config(**record_sets) -> ExperimentConfig:
+    """The config of the first set's first record, read through ``ExperimentConfig.from_dict``.
+
+    Each keyword names a set of records. A set without records, or a record
+    run with other settings (``out`` and ``workers`` aside), is a ValueError
+    that names its set.
+    """
+    for side, records in record_sets.items():
+        if not records:
+            raise ValueError(f"no records in the {side} directory")
+    first = next(iter(record_sets))
+    cfg = ExperimentConfig.from_dict(record_sets[first][0].config)
     want = _settings(cfg)
-    for side, records in zip(SIDES, (base_records, change_records)):
+    for side, records in record_sets.items():
         for record in records:
             got = _settings(ExperimentConfig.from_dict(record.config))
-            differ = [f"{name}={got[name]!r} (base {want[name]!r})" for name in want if got[name] != want[name]]
+            differ = [f"{name}={got[name]!r} ({first} {want[name]!r})" for name in want if got[name] != want[name]]
             if differ:
                 raise ValueError(f"{side} replicate {record.replicate} was run with other settings: {', '.join(differ)}")
     return cfg
@@ -106,18 +113,14 @@ def _mean_median(values):
 
 
 def compare_records(cfg: ExperimentConfig, base_records, change_records) -> Comparison:
-    """Judge both sides' records against the reference of the problem ``cfg`` names, and pair them by replicate."""
-    with build_problem(cfg) as problem:
-        reference = resolve_reference(problem, recompute=cfg.recompute_reference)
-        judged = [{r.replicate: (r, *judge_record(problem, r, reference)) for r in records}
-                  for records in (base_records, change_records)]
-    replicates = sorted(set(range(cfg.repeat)).union(*judged))
+    """Judge both sides' records by ``study.judge_study`` and pair them by replicate."""
+    problem, reference, judged, replicates = judge_study(cfg, base_records, change_records)
     base, change = ({k for k, (_, _, ok) in side.items() if ok} for side in judged)
     paired = [k for k in replicates if all(k in side and math.isfinite(side[k][1]) for side in judged)]
+    ref = reference.objective
     errors, evaluations = {}, {}
     for name, side in zip(SIDES, judged):
-        errors[name] = _mean_median([abs(side[k][1] - reference.objective) / abs(reference.objective) * 100.0
-                                     for k in paired])
+        errors[name] = _mean_median([abs(100.0 * (ref - side[k][1]) / ref) for k in paired])  # summarize's formula
         evaluations[name] = _mean_median([sum(side[k][0].evaluations_per_discipline()) for k in paired])
     return Comparison(
         problem=problem.problem_id,

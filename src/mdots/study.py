@@ -26,6 +26,7 @@ __all__ = [
     "run_from_record",
     "resolve_reference",
     "judge_record",
+    "judge_study",
     "summarize",
     "summarize_study",
 ]
@@ -139,14 +140,22 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None):
     return records, summarize_study(cfg, records)
 
 
-def summarize_study(cfg: ExperimentConfig, records) -> StudySummary:
-    """The study table of ``records``, judged against the reference of the problem ``cfg`` names.
+def judge_study(cfg: ExperimentConfig, *record_sets):
+    """Judge record sets of one config by ``judge_record``, for ``summarize_study`` and ``compare.compare_records``.
 
-    A replicate that failed left no record; it still counts among ``cfg.repeat`` runs, as not converged.
+    Returns the (closed) problem, its reference, each set's ``{replicate: (record, f, converged)}`` and the runs:
+    ``range(cfg.repeat)`` and every replicate with a record, so a failed replicate counts as a run not converged.
     """
     with build_problem(cfg) as problem:
         reference = resolve_reference(problem, recompute=cfg.recompute_reference)
-        return summarize(problem, records, reference, n_runs=max(cfg.repeat, len(records)))
+        judged = [{r.replicate: (r, *judge_record(problem, r, reference)) for r in records} for records in record_sets]
+    return problem, reference, judged, sorted(set(range(cfg.repeat)).union(*judged))
+
+
+def summarize_study(cfg: ExperimentConfig, records) -> StudySummary:
+    """The study table of ``records``, judged by ``judge_study``."""
+    problem, reference, (judged,), runs = judge_study(cfg, records)
+    return _table(problem, reference, judged.values(), n_runs=len(runs))
 
 
 def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: float = REFERENCE_TOL) -> ReferenceSolution:
@@ -179,12 +188,14 @@ def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs
     Each record is judged by ``judge_record``. ``n_runs`` is the study's run
     count, which a failed replicate counts in without a record.
     """
-    z_found = np.empty((len(records), problem.d_z))
-    f_found = np.empty(len(records))
-    mask = np.zeros(len(records), dtype=bool)
-    for i, record in enumerate(records):
-        f_found[i], mask[i] = judge_record(problem, record, reference)
-        z_found[i] = record.final_z
+    return _table(problem, reference, [(r, *judge_record(problem, r, reference)) for r in records], n_runs)
+
+
+def _table(problem: MdoProblem, reference: ReferenceSolution, judged, n_runs: int) -> StudySummary:
+    """The study table of ``(record, f, converged)`` triples."""
+    z_found = np.array([record.final_z for record, _, _ in judged], dtype=float).reshape(-1, problem.d_z)
+    f_found = np.array([f for _, f, _ in judged], dtype=float)
+    mask = np.array([ok for _, _, ok in judged], dtype=bool)
 
     variables = []
     names = [f"z{i + 1}" for i in range(problem.d_z)] + ["objective"]

@@ -17,7 +17,6 @@ posterior means.
 from __future__ import annotations
 
 import logging
-import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -67,13 +66,14 @@ RETIRED_SETTINGS = {
     "penalty_bound_weight": BOUND_WEIGHT,
     "reference_tol": REFERENCE_TOL,
     "gp_restarts": DEFAULT_RESTARTS,
+    "de_window": DeConfig.window,
+    "de_tol": DeConfig.tol,
 }
 # The problems ``study.build_problem`` builds; ``external`` also needs ``external_cmd``.
 PROBLEMS = ("toy", "sellar", "external")
-# Settings that count something: each a whole number (``workers`` may also be None) at or above its
-# least value. None leaves the range to ``DeConfig``, which owns that rule.
-COUNT_SETTINGS = {"n_doe": 2, "n_iter": 0, "repeat": 1, "seed": 0, "n_features": 1,
-                  "de_max_generations": None, "de_window": None, "workers": 1}
+# Settings that count something: each a whole number (``workers`` may also be None) at or above its least value.
+COUNT_SETTINGS = {"n_doe": 2, "n_iter": 0, "repeat": 1, "seed": 0, "n_features": 1, "de_max_generations": 1,
+                  "workers": 1}
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,11 @@ class ExperimentConfig:
     out: str = "runs"
     workers: int | None = None
     de_max_generations: int = DeConfig.max_generations
-    de_window: int = DeConfig.window
-    de_tol: float = DeConfig.tol
     recompute_reference: bool = False
 
     def __post_init__(self):
         # A config file can give any setting any JSON type; a string "false" is truthy, and a bool is an int.
         for name, wanted, ok in (
-            ("de_tol", "a real number", isinstance(self.de_tol, numbers.Real) and not isinstance(self.de_tol, bool)),
             ("recompute_reference", "true or false", isinstance(self.recompute_reference, bool)),
             ("out", "a string", isinstance(self.out, str)),
             ("external_cmd", "a string or null", self.external_cmd is None or isinstance(self.external_cmd, str)),
@@ -119,14 +116,8 @@ class ExperimentConfig:
             # bool is an int subclass, but a JSON ``true`` is no count.
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if least is not None and value < least:
+            if value < least:
                 raise ValueError(f"{name} must be at least {least}")
-        # DeConfig validates its own fields. Build one per setting, so a bad value fails here, named.
-        for name, field in (("de_max_generations", "max_generations"), ("de_window", "window"), ("de_tol", "tol")):
-            try:
-                DeConfig(**{field: getattr(self, name)})
-            except ValueError as exc:
-                raise ValueError(f"{name}={getattr(self, name)!r}: {exc}") from None
 
     @classmethod
     def from_dict(cls, settings: dict) -> "ExperimentConfig":
@@ -149,7 +140,7 @@ class ExperimentConfig:
         return cls(**settings)
 
     def de_config(self, seed: np.random.SeedSequence) -> DeConfig:
-        return DeConfig(max_generations=self.de_max_generations, window=self.de_window, tol=self.de_tol, seed=seed)
+        return DeConfig(max_generations=self.de_max_generations, seed=seed)
 
 
 @dataclass(frozen=True)

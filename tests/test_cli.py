@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -8,6 +9,7 @@ import pytest
 
 from mdots.cli import main
 from mdots.records import SUMMARY_COLUMNS, load_run_record, save_run_record
+from mdots.study import ExperimentConfig, run_replicate
 
 
 def failed_replicates(caplog):
@@ -53,7 +55,7 @@ class TestRunCommand:
             main(["run", "--problem", "toy", "--n-doe", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("setting", [{"de_tol": float("nan")}])
+    @pytest.mark.parametrize("setting", [{"n_features": float("nan")}])
     def test_nan_setting_in_config_file_is_one_error_line(self, tmp_path, capsys, setting):
         # json.dumps writes NaN, which json.load reads back as a float.
         cfg_file = tmp_path / "cfg.json"
@@ -64,7 +66,7 @@ class TestRunCommand:
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1
-        assert "tolerance" in errors[0]
+        assert "n_features must be an integer, got nan" in errors[0]
         assert not out.exists()
 
     def test_config_file_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys):
@@ -96,6 +98,20 @@ class TestRunCommand:
             main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
         assert exc.value.code == 2
         assert "unknown setting 'gp_isotropic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [{"de_window": 20}, {"de_tol": 1e-6}])
+    def test_retired_de_stop_rule_in_config_file_is_one_error_line(self, tmp_path, capsys, setting):
+        # The DE stop rule is DeConfig's alone: a file that sets it, even at its constant, is refused before any run.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"problem": "toy", "n_doe": 4, "n_iter": 0, **setting}))
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_file), "--out", str(out)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        (name,) = setting
+        assert len(errors) == 1 and f"unknown setting {name!r}" in errors[0]
+        assert not out.exists()
 
     def test_run_record_header_promises_one_replicate(self, tmp_path, quick_args):
         config = tmp_path / "cfg.json"
@@ -147,12 +163,12 @@ class TestStudyCommand:
 
     def test_invalid_layer_setting_rejected_before_any_run(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"problem": "toy", "de_window": 0}))
+        cfg_file.write_text(json.dumps({"problem": "toy", "de_max_generations": 0}))
         out = tmp_path / "study"
         with pytest.raises(SystemExit) as exc:
             main(["study", "--config", str(cfg_file), "--repeat", "2", "--workers", "1", "--out", str(out)])
         assert exc.value.code == 2
-        assert "window must be positive" in capsys.readouterr().err
+        assert "de_max_generations must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reference_tol_in_config_file_is_an_unknown_setting(self, tmp_path, capsys):
@@ -468,17 +484,37 @@ class TestReportCommand:
         assert not (report / "aggregate.csv").exists()
 
     def test_records_of_two_problems_are_a_one_line_error(self, tmp_path, capsys, quick_args):
-        from mdots.study import ExperimentConfig, run_replicate
-
         out = tmp_path / "mixed"
         assert main(["run", *quick_args, "--out", str(out)]) == 0
-        sellar = ExperimentConfig(problem="sellar", n_doe=2, n_iter=0, n_features=50, de_max_generations=5, de_window=5)
+        sellar = ExperimentConfig(problem="sellar", n_doe=2, n_iter=0, n_features=50, de_max_generations=5)
         run_replicate(sellar, 1, out_dir=str(out))
         capsys.readouterr()
         assert main(["report", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "'sellar'" in err[0] and "'toy'" in err[0]
+        assert not (out / "aggregate.csv").exists()
+
+    def test_report_and_compare_count_the_runs_alike(self, tmp_path, capsys):
+        # Replicates 0 and 5 of a repeat = 3 study: runs 0, 1, 2 and 5, whichever command reads the directory.
+        record = run_replicate(ExperimentConfig(problem="toy", n_doe=4, n_iter=0, repeat=3, de_max_generations=5), 0)
+        for k in (0, 5):
+            save_run_record(dataclasses.replace(record, replicate=k), str(tmp_path / f"run_{k}.ndjson"))
+        assert main(["report", str(tmp_path)]) == 0
+        assert main(["compare", str(tmp_path), str(tmp_path)]) == 0
+        for table in ("aggregate.csv", "compare.csv"):
+            with open(tmp_path / table, newline="") as fh:
+                assert {row["n_runs"] for row in csv.DictReader(fh)} == {"4"}, table
+
+    def test_records_of_two_configs_are_a_one_line_error_naming_the_settings(self, tmp_path, capsys):
+        # The check `mdots compare` makes of a directory: one study, one set of settings.
+        out = tmp_path / "mixed"
+        run_replicate(ExperimentConfig(problem="toy", n_doe=2, n_iter=0, seed=0), 0, out_dir=str(out))
+        run_replicate(ExperimentConfig(problem="toy", n_doe=3, n_iter=1, seed=7), 1, out_dir=str(out))
+        assert main(["report", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(named in err[0] for named in ("n_doe=3", "n_iter=1", "seed=7"))
         assert not (out / "aggregate.csv").exists()
 
     def test_out_that_names_a_file_is_a_one_line_error(self, tmp_path, capsys, quick_args):
@@ -496,12 +532,12 @@ class TestReportCommand:
         assert main(["run", *quick_args, "--out", out]) == 0
         path = os.path.join(out, "run_0.ndjson")
         record = load_run_record(path)
-        record.config["de_tol"] = "x"
+        record.config["n_features"] = "x"
         save_run_record(record, path)
         capsys.readouterr()
         assert main(["report", out]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: de_tol ")
+        assert len(err) == 1 and err[0].startswith("error: n_features ")
 
     def test_record_config_with_an_unknown_key_is_a_one_line_error(self, tmp_path, capsys, quick_args):
         # A record written by another version, e.g. one whose header still has a "gp" settings block.

@@ -47,6 +47,8 @@ OLD_HEADER_SETTINGS = {
     "reference_tol": 1e-10,
     "gp_restarts": 4,
     "mda_tol": 0.01,
+    "de_window": 20,
+    "de_tol": 1e-6,
 }
 
 
@@ -224,8 +226,6 @@ class TestRelaunch:
             "out",
             "workers",
             "de_max_generations",
-            "de_window",
-            "de_tol",
             "recompute_reference",
         ]
 
@@ -244,7 +244,8 @@ class TestRelaunch:
 
     def test_retired_setting_off_its_constant_is_refused(self):
         record = small_record(seed=5)
-        for name, value in (("de_mutation", 0.5), ("gp_restarts", 1), ("mda_tol", 0.001)):
+        for name, value in (("de_mutation", 0.5), ("gp_restarts", 1), ("mda_tol", 0.001), ("de_window", 40),
+                            ("de_tol", 1e-8)):
             old = dataclasses.replace(record, config={**record.config, **OLD_HEADER_SETTINGS, name: value})
             with pytest.raises(ValueError, match=f"retired setting '{name}'"):
                 run_from_record(old)

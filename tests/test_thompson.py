@@ -132,10 +132,7 @@ class TestRunBudget:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"de_window": 0},
             {"n_features": 0},
-            {"de_tol": float("nan")},
-            {"de_tol": -1.0},
             # Counts must be integers, and a bool is not one.
             {"n_features": 10.5},
             {"seed": 1.5},
@@ -143,17 +140,20 @@ class TestRunBudget:
             {"repeat": 2.0},
             {"n_iter": True},
             {"de_max_generations": 50.0},
-            {"de_window": True},
+            {"de_max_generations": True},
             {"workers": 2.0},
+            {"workers": True},
             {"seed": -1},
             {"workers": 0},
             {"workers": -3},
             {"de_max_generations": 0},
-            {"de_tol": 0.0},
+            {"de_max_generations": -1},
             # Settings of the wrong type, as a config file or a record header can hold them.
-            {"de_tol": "x"},
-            {"de_tol": None},
-            {"de_tol": True},
+            {"de_max_generations": "300"},
+            {"de_max_generations": None},
+            {"n_features": "100"},
+            {"n_doe": "4"},
+            {"seed": None},
             {"recompute_reference": "false"},
             {"out": 5},
             {"external_cmd": 5},
@@ -166,7 +166,7 @@ class TestRunBudget:
             ExperimentConfig(**bad)
 
     @pytest.mark.parametrize("name, least", [("n_doe", 2), ("n_iter", 0), ("repeat", 1), ("seed", 0),
-                                             ("n_features", 1), ("workers", 1)])
+                                             ("n_features", 1), ("de_max_generations", 1), ("workers", 1)])
     def test_count_below_its_least_value_is_named_with_it(self, name, least):
         with pytest.raises(ValueError, match=f"^{name} must be at least {least}$"):
             ExperimentConfig(**{name: least - 1})
