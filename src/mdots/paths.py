@@ -1,12 +1,20 @@
 """Approximate posterior sample paths: random Fourier features plus an exact update.
 
-A draw is a continuous, deterministic function cheap enough to sit inside an
-iterative coupled solve: a cosine expansion of the prior (frequencies from the
-kernel's spectral density) corrected by a kernel-weighted residual term that
-pins the path to the training data. Every surrogate a path is drawn from
+A draw is a deterministic function, continuous down to the resolution of
+its cosine (below), cheap enough to sit inside an iterative coupled solve:
+a cosine expansion of the prior (frequencies from the kernel's spectral
+density) corrected by a kernel-weighted residual term that pins the path
+to the training data. Every surrogate a path is drawn from
 has data (``gp.fit`` needs two points). ``eval_path`` takes a batch of
 points ``(n, d)`` only, as the coupled solve passes them, and returns
 ``(n,)``; one point is a batch of one row.
+
+The feature cosine (one per feature per evaluated row, once most of a run)
+runs in single precision; the phase it takes and the sum over the weights
+stay float64. Each cosine is within 6e-8 * (|phase| + 4) of its float64
+value (float32 rounding of the phase, plus 2 ulp for the cosine kernel),
+and a path is flat between float32 phase steps, so a finite difference of
+a path needs a step well above that resolution.
 """
 
 from __future__ import annotations
@@ -65,12 +73,13 @@ def sample_feature_map(params: KernelParams, n_features: int, rng) -> FeatureMap
 
 
 def _prior_values(fm: FeatureMap, X_norm: np.ndarray) -> np.ndarray:
-    # One (rows, n_features) buffer holds the phase and then its cosine; the
-    # values equal those of ``np.cos(X_norm @ thetas.T + taus)`` bit for bit.
+    # The phase ``X_norm @ thetas.T + taus`` is float64; its cosine runs in
+    # single precision (the bits of ``np.cos(phase.astype(np.float32))``, with
+    # one temporary fewer), and the sum over the weights is float64 again.
+    # Finite differences of a path need steps far above 6e-8 * |phase|.
     phase = X_norm @ fm.thetas.T
     phase += fm.taus
-    np.cos(phase, out=phase)
-    return fm.amplitude * (phase @ fm.weights)
+    return fm.amplitude * (np.cos(phase, dtype=np.float32) @ fm.weights)
 
 
 def draw_path(surrogate: TrainedSurrogate, n_features: int, rng) -> PathSample:

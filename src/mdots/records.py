@@ -30,10 +30,10 @@ __all__ = [
 
 TRACE_COLUMNS = ["iteration", "discipline", "random_value", "best_value"]
 SUMMARY_COLUMNS = ["problem", "n_runs", "n_converged", "variable", "reference", "mean_converged", "mean_abs_pct_err"]
-# Version 2: one design solve per iteration, every discipline evaluated at its proposal. Version 1 records,
-# written by the round-robin loop (one design solve per entry), have the same lines and still load.
-SCHEMA_VERSION = 2
-READABLE_VERSIONS = (1, SCHEMA_VERSION)
+# Version 3: the path feature cosine runs in single precision. Version 2 records (float64 cosine) and
+# version 1 records (the round-robin loop, one design solve per entry) have the same lines and still load.
+SCHEMA_VERSION = 3
+READABLE_VERSIONS = (1, 2, SCHEMA_VERSION)
 
 
 @dataclass

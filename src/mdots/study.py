@@ -73,10 +73,15 @@ def run_replicate(cfg: ExperimentConfig, k: int, out_dir: str | None = None) -> 
     return record
 
 
+# How each earlier schema version's runs differ from today's; their records load and report but do not re-launch.
+_EARLIER_VERSIONS = {1: "written by the round-robin loop", 2: "written with the float64 path cosine"}
+
+
 def run_from_record(record: RunRecord, out_dir: str | None = None) -> RunRecord:
-    """Re-launch a run from the config embedded in its record; a record of an earlier schema version is a ValueError."""
+    """Re-launch a run from the config embedded in its record; a record of another schema version is a ValueError."""
     if record.schema_version != SCHEMA_VERSION:
-        raise ValueError(f"a schema version {record.schema_version} record was written by the round-robin loop "
+        raise ValueError(f"a schema version {record.schema_version} record was "
+                         f"{_EARLIER_VERSIONS.get(record.schema_version, 'written by another version')} "
                          "and cannot be re-launched bit for bit")
     cfg = ExperimentConfig.from_dict(record.config)
     return run_replicate(cfg, record.replicate, out_dir=out_dir)

@@ -14,6 +14,23 @@ def make_surrogate(n=8, seed=0):
     return fit(x, y, rng=seed + 1), x, y
 
 
+def float64_parts(path, Xq):
+    """The phases, prior and update terms of a path at the rows of ``Xq``, every step in float64 (the reference)."""
+    s, fm = path.anchor, path.features
+    Xn = s.norm.normalize_inputs(np.asarray(Xq, dtype=float))
+    phase = Xn @ fm.thetas.T + fm.taus
+    prior = fm.amplitude * (np.cos(phase) @ fm.weights)
+    update = kernel_matrix(s.params, Xn, s.X_norm) @ path.update_coeffs
+    return phase, prior, update
+
+
+def float64_eval_path(path, Xq):
+    """The path at the rows of ``Xq`` with its feature cosine in float64, in raw output units."""
+    _, prior, update = float64_parts(path, Xq)
+    norm = path.anchor.norm
+    return norm.output_mean + norm.output_std * (prior + update)
+
+
 class TestFeatureMap:
     def test_frequency_spread_matches_spectral_density(self):
         params = KernelParams(length_scales=[1.0], signal_variance=1.0, nugget=1e-7)
@@ -62,7 +79,8 @@ class TestEvalPath:
         fm = path.features
         for Xq in (rng.uniform(-1.0, 2.0, size=(45, 3)), rng.uniform(-1.0, 2.0, size=(1, 3))):
             Xn = s.norm.normalize_inputs(Xq)
-            vals = fm.amplitude * (np.cos(Xn @ fm.thetas.T + fm.taus) @ fm.weights)
+            # The float64 phase, rounded to float32 for its cosine; the weighted sum promotes to float64.
+            vals = fm.amplitude * (np.cos((Xn @ fm.thetas.T + fm.taus).astype(np.float32)) @ fm.weights)
             vals = vals + kernel_matrix(s.params, Xn, s.X_norm) @ path.update_coeffs
             want = s.norm.output_mean + s.norm.output_std * vals
             assert np.array_equal(eval_path(path, Xq), want)
@@ -83,11 +101,13 @@ class TestEvalPath:
         np.testing.assert_array_equal(eval_path(a, xq), eval_path(b, xq))
 
     def test_prior_only_path_is_pure_feature_expansion(self):
-        # The prior part of a path: the cosine expansion of one feature-map draw, nothing else.
+        # The prior part of a path: the cosine expansion of one feature-map draw, nothing else. The cosine
+        # takes the float64 phase rounded to float32; the sum over the weights is float64.
         params = KernelParams(length_scales=[1.0], signal_variance=2.0, nugget=1e-7)
         fm = sample_feature_map(params, 128, np.random.default_rng(6))
         x = 0.7
-        expected = fm.amplitude * np.sum(fm.weights * np.cos(fm.thetas[:, 0] * x + fm.taus))
+        cosine = np.cos((fm.thetas[:, 0] * x + fm.taus).astype(np.float32))
+        expected = fm.amplitude * np.sum(fm.weights * cosine)
         assert _prior_values(fm, np.array([[x]]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_batch_matches_pointwise(self):
@@ -101,7 +121,38 @@ class TestEvalPath:
         single = np.array([eval_path(path, row[None, :])[0] for row in xq])
         np.testing.assert_allclose(batch, single, rtol=1e-10, atol=1e-10)
 
+    def test_single_precision_cosine_stays_within_its_rounding_bound(self):
+        # A path differs from its float64 expansion only through the feature cosine. With u = 2**-24 the
+        # float32 unit roundoff, rounding a phase p to float32 moves it by at most u*|p|, and cos is
+        # 1-Lipschitz, so the cosine of the rounded phase is off by at most u*|p|. The float32 cosine kernel
+        # adds at most 2 ulp(1) = 4u (numpy states its SIMD cosf within 1.49 ulp, and libm's cosf is within 1).
+        # So the prior term moves by at most amplitude * sum_i |w_i| (u |p_i| + 4u). Each side's float64 sum
+        # of n weighted cosines adds at most gamma_n * amplitude * sum_i |w_i|, gamma_n = n e / (1 - n e) with
+        # e = 2**-53. Both sides then share the update term bit for bit, and four float64 roundings (times
+        # amplitude, plus update, times output_std, plus output_mean) each move a side by at most e times
+        # the magnitudes involved. Scaled to raw units by output_std, that is the bound below.
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1.0, 2.0, size=(9, 3))
+        s = fit(X, np.sin(X).sum(axis=1), rng=6)
+        path = draw_path(s, 1000, rng=7)
+        fm, norm = path.features, s.norm
+        u, e = np.finfo(np.float32).eps / 2.0, np.finfo(np.float64).eps / 2.0
+        gamma_n = fm.n_features * e / (1.0 - fm.n_features * e)
+        abs_w = np.abs(fm.weights)
+        rows = rng.uniform(-1.0, 2.0, size=(45, 3))
+        for Xq in (rows, *(row[None, :] for row in rows[:5])):
+            phase, prior, update = float64_parts(path, Xq)
+            cosine_error = fm.amplitude * ((u * np.abs(phase) + 4.0 * u) @ abs_w)
+            sum_error = 2.0 * gamma_n * fm.amplitude * abs_w.sum()
+            roundings = 4.0 * e * (abs(norm.output_mean) + norm.output_std * (np.abs(prior) + np.abs(update)))
+            bound = norm.output_std * (cosine_error + sum_error) + 2.0 * roundings
+            got = eval_path(path, Xq)
+            assert np.all(np.abs(got - float64_eval_path(path, Xq)) <= bound)
+
     def test_derivative_against_central_difference(self):
+        # The analytic slope against a central difference of the path's float64 expansion. The path itself
+        # takes its cosine in single precision, so it is flat between float32 phase steps (about
+        # 6e-8 * |phase|), and a difference at h = 1e-6 would measure that rounding, not the slope.
         s, _, _ = make_surrogate()
         path = draw_path(s, 300, np.random.default_rng(8))
         fm = path.features
@@ -121,7 +172,7 @@ class TestEvalPath:
         rng = np.random.default_rng(9)
         h = 1e-6
         for x in rng.uniform(0.5, 5.5, size=5):
-            fd = (eval_path(path, [[x + h]])[0] - eval_path(path, [[x - h]])[0]) / (2.0 * h)
+            fd = (float64_eval_path(path, [[x + h]])[0] - float64_eval_path(path, [[x - h]])[0]) / (2.0 * h)
             assert fd == pytest.approx(analytic_slope(x), rel=1e-5)
 
     def test_dimension_mismatch(self):

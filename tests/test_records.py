@@ -132,7 +132,7 @@ class TestRoundTrip:
             ("timing", lambda obj: {k: v for k, v in obj.items() if k != "kind"}, "unknown record line kind None"),
             ("timing", lambda obj: {**obj, "kind": ["timing"]}, r"unknown record line kind \['timing'\]"),
             ("timing", lambda obj: {**obj, "kind": "comment"}, "unknown record line kind 'comment'"),
-            ("header", lambda obj: {**obj, "schema_version": 3}, "unsupported schema version 3"),
+            ("header", lambda obj: {**obj, "schema_version": 4}, "unsupported schema version 4"),
             ("doe", lambda obj: {"kind": "doe"}, r"record doe line lacks or adds the fields \['sets'\]"),
             ("iteration", lambda obj: {**obj, "extra": 1}, r"iteration line lacks or adds the fields \[.extra.\]"),
             ("iteration", lambda obj: {k: v for k, v in obj.items() if k != "z_hat"}, r"iteration line .* \['z_hat'\]"),
@@ -250,18 +250,30 @@ class TestRelaunch:
             with pytest.raises(ValueError, match=f"retired setting '{name}'"):
                 run_from_record(old)
 
-    def test_schema_version_1_record_loads_reports_and_compares_but_does_not_relaunch(self, tmp_path):
-        # Version 1 records, written by the round-robin loop, have the same lines as version 2 ones.
+    @staticmethod
+    def check_earlier_version(tmp_path, version, reason):
+        """A record of an earlier schema version loads, reports and compares, and its re-launch is refused."""
         record = small_record(seed=5)
-        old = dataclasses.replace(record, schema_version=1)
-        v1, v2 = tmp_path / "v1", tmp_path / "v2"
-        save_run_record(old, str(v1 / "run_0.ndjson"))
-        save_run_record(record, str(v2 / "run_0.ndjson"))
-        assert load_run_record(str(v1 / "run_0.ndjson")) == old
-        assert main(["report", str(v1)]) == 0
-        assert main(["compare", str(v1), str(v2)]) == 0
-        with pytest.raises(ValueError, match="^a schema version 1 record was written by the round-robin loop"):
+        old = dataclasses.replace(record, schema_version=version)
+        base, change = tmp_path / "old", tmp_path / "new"
+        save_run_record(old, str(base / "run_0.ndjson"))
+        save_run_record(record, str(change / "run_0.ndjson"))
+        assert load_run_record(str(base / "run_0.ndjson")) == old
+        assert main(["report", str(base)]) == 0
+        assert main(["compare", str(base), str(change)]) == 0
+        with pytest.raises(ValueError, match=f"^a schema version {version} record was {reason} and cannot be re-"):
             run_from_record(old)
+
+    def test_schema_version_1_record_loads_reports_and_compares_but_does_not_relaunch(self, tmp_path):
+        # Version 1 records, written by the round-robin loop, have the same lines as today's.
+        self.check_earlier_version(tmp_path, 1, "written by the round-robin loop")
+
+    def test_schema_version_2_record_loads_reports_and_compares_but_does_not_relaunch(self, tmp_path):
+        # Version 2 records, written with the float64 path cosine, have the same lines as today's.
+        self.check_earlier_version(tmp_path, 2, "written with the float64 path cosine")
+        future = dataclasses.replace(small_record(seed=5), schema_version=4)  # built in memory, never loaded
+        with pytest.raises(ValueError, match="^a schema version 4 record was written by another version and"):
+            run_from_record(future)
 
     def test_library_run_relaunches_and_reports(self, tmp_path):
         cfg = ExperimentConfig(problem="toy", n_doe=4, n_iter=1, de_max_generations=60)

@@ -3,7 +3,12 @@
     python3 tools/same_bits.py > bits.txt
 
 Run it in two checkouts and ``diff`` the two files: no output means the same
-bits. It imports ``mdots`` from the ``src`` tree next to it and covers
+bits. It imports ``mdots`` from the ``src`` tree next to it. Its first lines
+are numpy's version and the SIMD extensions numpy was built for and found on
+the CPU. Some of numpy's kernels give other bits on other CPU levels (the
+float32 path cosine under the baseline x86-64-v2 kernel; float64 ``exp``
+and ``log`` under AVX-512), so a diff between two machines shows first
+whether they ran different kernels. Then it covers
 
 - the Sellar run record (seed 20250808, 5 DoE, 10 refinements);
 - the six toy study records (seed 0, 4 DoE, 3 refinements, 2 workers) and
@@ -31,6 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402
 
 from mdots.cli import main  # noqa: E402
 from mdots.problems import sellar_problem, toy_problem  # noqa: E402
@@ -61,6 +68,13 @@ def cli(*argv: str) -> None:
         raise SystemExit(f"mdots {' '.join(argv)} exited {code}")
 
 
+def print_numpy_build() -> None:
+    print("numpy", np.__version__)
+    # "baseline", then "found" and "not found" where numpy has any: a CPU without them reports no "found".
+    for key, names in np.show_config(mode="dicts")["SIMD Extensions"].items():
+        print(f"numpy SIMD {key}:", " ".join(names))
+
+
 def main_digests(tmp: Path) -> None:
     sellar_dir, study_dir, report_dir = tmp / "sellar-run", tmp / "toy-study", tmp / "report"
     cli("run", "--problem", "sellar", "--seed", "20250808", "--n-doe", "5", "--n-iter", "10", "--out", str(sellar_dir))
@@ -82,5 +96,6 @@ def main_digests(tmp: Path) -> None:
 
 
 if __name__ == "__main__":
+    print_numpy_build()
     with tempfile.TemporaryDirectory(prefix="same-bits-") as tmp:
         main_digests(Path(tmp))
