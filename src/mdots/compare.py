@@ -17,7 +17,7 @@ import math
 import statistics
 from dataclasses import asdict, dataclass
 
-from .study import ExperimentConfig, judge_study
+from .study import ExperimentConfig, abs_pct_err, judge_study
 
 __all__ = ["ALPHA", "COMPARE_COLUMNS", "Comparison", "wilson_interval", "mcnemar_p", "paired_config",
            "compare_records", "write_compare_csv"]
@@ -120,7 +120,7 @@ def compare_records(cfg: ExperimentConfig, base_records, change_records) -> Comp
     ref = reference.objective
     errors, evaluations = {}, {}
     for name, side in zip(SIDES, judged):
-        errors[name] = _mean_median([abs(100.0 * (ref - side[k][1]) / ref) for k in paired])  # summarize's formula
+        errors[name] = _mean_median([abs_pct_err(ref, side[k][1]) for k in paired])
         evaluations[name] = _mean_median([sum(side[k][0].evaluations_per_discipline()) for k in paired])
     return Comparison(
         problem=problem.problem_id,

@@ -74,12 +74,14 @@ def sample_feature_map(params: KernelParams, n_features: int, rng) -> FeatureMap
 
 def _prior_values(fm: FeatureMap, X_norm: np.ndarray) -> np.ndarray:
     # The phase ``X_norm @ thetas.T + taus`` is float64; its cosine runs in
-    # single precision (the bits of ``np.cos(phase.astype(np.float32))``, with
-    # one temporary fewer), and the sum over the weights is float64 again.
+    # single precision (the bits of ``np.cos(phase.astype(np.float32))``) and
+    # is written back into the phase block as float64, exactly, so the sum
+    # over the weights is float64 with no temporary the size of the block.
     # Finite differences of a path need steps far above 6e-8 * |phase|.
     phase = X_norm @ fm.thetas.T
     phase += fm.taus
-    return fm.amplitude * (np.cos(phase, dtype=np.float32) @ fm.weights)
+    np.cos(phase, out=phase, dtype=np.float32)
+    return fm.amplitude * (phase @ fm.weights)
 
 
 def draw_path(surrogate: TrainedSurrogate, n_features: int, rng) -> PathSample:

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 __all__ = [
     "SCHEMA_VERSION",
+    "EARLIER_VERSIONS",
     "IterationEntry",
     "RunRecord",
     "save_run_record",
@@ -30,10 +31,10 @@ __all__ = [
 
 TRACE_COLUMNS = ["iteration", "discipline", "random_value", "best_value"]
 SUMMARY_COLUMNS = ["problem", "n_runs", "n_converged", "variable", "reference", "mean_converged", "mean_abs_pct_err"]
-# Version 3: the path feature cosine runs in single precision. Version 2 records (float64 cosine) and
-# version 1 records (the round-robin loop, one design solve per entry) have the same lines and still load.
+# Version 3: the path feature cosine runs in single precision. Each earlier version's records have the same lines,
+# load and report, but do not re-launch; the table says how their runs differ from today's.
 SCHEMA_VERSION = 3
-READABLE_VERSIONS = (1, 2, SCHEMA_VERSION)
+EARLIER_VERSIONS = {1: "written by the round-robin loop", 2: "written with the float64 path cosine"}
 
 
 @dataclass
@@ -160,7 +161,7 @@ def load_run_record(path: str) -> RunRecord:
     if missing:
         raise ValueError(f"incomplete run record: no {', '.join(missing)} line")
     record = RunRecord(iterations=iterations, **{name: v for fields in slots.values() for name, v in fields.items()})
-    if record.schema_version not in READABLE_VERSIONS:
+    if record.schema_version not in {SCHEMA_VERSION, *EARLIER_VERSIONS}:
         raise ValueError(f"unsupported schema version {record.schema_version}")
     return record
 

@@ -13,7 +13,7 @@ from .evolution import DeConfig, de_minimize, penalized_mdo_objective
 from .external import load_external_problem
 from .mda import REFERENCE_TOL, MdaConfig
 from .problems import MdoProblem, ReferenceSolution, sellar_problem, toy_problem
-from .records import SCHEMA_VERSION, RunRecord, save_run_record
+from .records import EARLIER_VERSIONS, SCHEMA_VERSION, RunRecord, save_run_record
 from .thompson import ExperimentConfig, convergence_check, run_mdo_ts
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "resolve_reference",
     "judge_record",
     "judge_study",
+    "abs_pct_err",
     "summarize",
     "summarize_study",
 ]
@@ -73,15 +74,11 @@ def run_replicate(cfg: ExperimentConfig, k: int, out_dir: str | None = None) -> 
     return record
 
 
-# How each earlier schema version's runs differ from today's; their records load and report but do not re-launch.
-_EARLIER_VERSIONS = {1: "written by the round-robin loop", 2: "written with the float64 path cosine"}
-
-
 def run_from_record(record: RunRecord, out_dir: str | None = None) -> RunRecord:
     """Re-launch a run from the config embedded in its record; a record of another schema version is a ValueError."""
     if record.schema_version != SCHEMA_VERSION:
         raise ValueError(f"a schema version {record.schema_version} record was "
-                         f"{_EARLIER_VERSIONS.get(record.schema_version, 'written by another version')} "
+                         f"{EARLIER_VERSIONS.get(record.schema_version, 'written by another version')} "
                          "and cannot be re-launched bit for bit")
     cfg = ExperimentConfig.from_dict(record.config)
     return run_replicate(cfg, record.replicate, out_dir=out_dir)
@@ -187,6 +184,11 @@ def judge_record(problem: MdoProblem, record: RunRecord, reference: ReferenceSol
     return f, bool(np.isfinite(f) and convergence_check(reference.objective, f))
 
 
+def abs_pct_err(ref, found):
+    """The absolute percent error of ``found`` (a number or an array) against a nonzero ``ref``."""
+    return abs(100.0 * (ref - found) / ref)
+
+
 def summarize(problem: MdoProblem, records, reference: ReferenceSolution, n_runs: int) -> StudySummary:
     """Apply the relative convergence criterion and average the converged runs.
 
@@ -209,7 +211,7 @@ def _table(problem: MdoProblem, reference: ReferenceSolution, judged, n_runs: in
     for name, ref, vals in zip(names, refs, values):
         if mask.any():
             mean = float(vals[mask].mean())
-            err = float(np.mean(np.abs(100.0 * (ref - vals[mask]) / ref))) if ref != 0.0 else None
+            err = float(np.mean(abs_pct_err(ref, vals[mask]))) if ref != 0.0 else None
         else:
             mean, err = None, None
         variables.append(VariableStat(name=name, reference=float(ref), mean_converged=mean, mean_abs_pct_err=err))

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestEvalPath:
             assert np.array_equal(eval_path(path, Xq), want)
         with pytest.raises(ValueError, match="expected a batch of shape"):
             eval_path(path, Xq[0])  # a bare point is not a batch
+
+    def test_cosine_takes_no_second_block(self):
+        # The float32 cosine goes back into the float64 phase block, so a call's peak is about that one block:
+        # a float32 cosine block and its float64 promotion on top of it took the peak to about 2.5 blocks.
+        params = KernelParams(length_scales=[1.0, 1.0], signal_variance=1.0, nugget=1e-7)
+        fm = sample_feature_map(params, 1000, np.random.default_rng(8))
+        X = np.random.default_rng(9).uniform(size=(1000, 2))
+        block = X.shape[0] * fm.n_features * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            _prior_values(fm, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block
 
     def test_purity(self):
         s, _, _ = make_surrogate()

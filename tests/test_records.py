@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from mdots.records import (
+    EARLIER_VERSIONS,
+    SCHEMA_VERSION,
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
     load_records_dir,
@@ -132,7 +134,8 @@ class TestRoundTrip:
             ("timing", lambda obj: {k: v for k, v in obj.items() if k != "kind"}, "unknown record line kind None"),
             ("timing", lambda obj: {**obj, "kind": ["timing"]}, r"unknown record line kind \['timing'\]"),
             ("timing", lambda obj: {**obj, "kind": "comment"}, "unknown record line kind 'comment'"),
-            ("header", lambda obj: {**obj, "schema_version": 4}, "unsupported schema version 4"),
+            ("header", lambda obj: {**obj, "schema_version": SCHEMA_VERSION + 1},
+             f"unsupported schema version {SCHEMA_VERSION + 1}"),
             ("doe", lambda obj: {"kind": "doe"}, r"record doe line lacks or adds the fields \['sets'\]"),
             ("iteration", lambda obj: {**obj, "extra": 1}, r"iteration line lacks or adds the fields \[.extra.\]"),
             ("iteration", lambda obj: {k: v for k, v in obj.items() if k != "z_hat"}, r"iteration line .* \['z_hat'\]"),
@@ -250,9 +253,10 @@ class TestRelaunch:
             with pytest.raises(ValueError, match=f"retired setting '{name}'"):
                 run_from_record(old)
 
-    @staticmethod
-    def check_earlier_version(tmp_path, version, reason):
-        """A record of an earlier schema version loads, reports and compares, and its re-launch is refused."""
+    @pytest.mark.parametrize("version", sorted(EARLIER_VERSIONS))
+    def test_record_of_an_earlier_version_loads_but_does_not_relaunch(self, tmp_path, version):
+        # An earlier version's records have the same lines as today's: they load, report and compare, and each
+        # version's re-launch is refused with its own reason.
         record = small_record(seed=5)
         old = dataclasses.replace(record, schema_version=version)
         base, change = tmp_path / "old", tmp_path / "new"
@@ -261,18 +265,13 @@ class TestRelaunch:
         assert load_run_record(str(base / "run_0.ndjson")) == old
         assert main(["report", str(base)]) == 0
         assert main(["compare", str(base), str(change)]) == 0
+        reason = re.escape(EARLIER_VERSIONS[version])
         with pytest.raises(ValueError, match=f"^a schema version {version} record was {reason} and cannot be re-"):
             run_from_record(old)
 
-    def test_schema_version_1_record_loads_reports_and_compares_but_does_not_relaunch(self, tmp_path):
-        # Version 1 records, written by the round-robin loop, have the same lines as today's.
-        self.check_earlier_version(tmp_path, 1, "written by the round-robin loop")
-
-    def test_schema_version_2_record_loads_reports_and_compares_but_does_not_relaunch(self, tmp_path):
-        # Version 2 records, written with the float64 path cosine, have the same lines as today's.
-        self.check_earlier_version(tmp_path, 2, "written with the float64 path cosine")
-        future = dataclasses.replace(small_record(seed=5), schema_version=4)  # built in memory, never loaded
-        with pytest.raises(ValueError, match="^a schema version 4 record was written by another version and"):
+    def test_record_of_a_later_version_is_refused(self):
+        future = dataclasses.replace(small_record(seed=5), schema_version=SCHEMA_VERSION + 1)  # the loader refuses it
+        with pytest.raises(ValueError, match=f"^a schema version {SCHEMA_VERSION + 1} record was written by another"):
             run_from_record(future)
 
     def test_library_run_relaunches_and_reports(self, tmp_path):
