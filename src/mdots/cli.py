@@ -38,7 +38,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--features", type=int, help="basis functions per sample path")
     parser.add_argument("--out", help="records directory")
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--recompute-reference", action="store_true", default=None)
 
 
 def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
@@ -144,7 +143,7 @@ def _cmd_compare(args, parser) -> int:
 def _cmd_reference(args, parser) -> int:
     cfg = _resolve_config(args, parser)
     with build_problem(cfg) as problem:
-        reference = resolve_reference(problem, recompute=cfg.recompute_reference)
+        reference = resolve_reference(problem, recompute=args.recompute_reference)
     z = ", ".join(f"{v: .6f}" for v in np.atleast_1d(reference.z))
     print(f"problem={problem.problem_id} z_star=[{z}] objective={reference.objective:.6f}")
     return 0
@@ -175,6 +174,7 @@ def main(argv=None) -> int:
 
     p_ref = sub.add_parser("reference", help="print (or recompute) the reference optimum")
     _add_common(p_ref)
+    p_ref.add_argument("--recompute-reference", action="store_true", help="re-solve the true problem")
     p_ref.set_defaults(handler=_cmd_reference)
 
     args = parser.parse_args(argv)

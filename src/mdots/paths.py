@@ -28,6 +28,7 @@ from .gp import KernelParams, TrainedSurrogate, _as_batch, _solve_chol, kernel_m
 __all__ = ["FeatureMap", "PathSample", "sample_feature_map", "draw_path", "eval_path"]
 
 DEFAULT_FEATURES = 1000
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,14 @@ def _prior_values(fm: FeatureMap, X_norm: np.ndarray) -> np.ndarray:
     # is written back into the phase block as float64, exactly, so the sum
     # over the weights is float64 with no temporary the size of the block.
     # Finite differences of a path need steps far above 6e-8 * |phase|.
-    phase = X_norm @ fm.thetas.T
-    phase += fm.taus
-    np.cos(phase, out=phase, dtype=np.float32)
-    return fm.amplitude * (phase @ fm.weights)
+    # Rows go in blocks of ``ROW_BLOCK`` to keep a large batch's phase block small; a run's calls are one block.
+    values = np.empty(X_norm.shape[0])
+    for start in range(0, X_norm.shape[0], ROW_BLOCK):
+        phase = X_norm[start : start + ROW_BLOCK] @ fm.thetas.T
+        phase += fm.taus
+        np.cos(phase, out=phase, dtype=np.float32)
+        values[start : start + ROW_BLOCK] = phase @ fm.weights
+    return fm.amplitude * values
 
 
 def draw_path(surrogate: TrainedSurrogate, n_features: int, rng) -> PathSample:

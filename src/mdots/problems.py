@@ -155,7 +155,7 @@ def toy_problem() -> MdoProblem:
             Discipline("f2", produces=[1], consumes=[0], fn=f2),
         ),
         objective=objective,
-        reference=ReferenceSolution(z=np.array([-2.9989]), objective=-1.1495),
+        reference=ReferenceSolution(z=np.array([-3.0030775411383175]), objective=-1.1497129843267646),
     )
 
 
@@ -182,7 +182,7 @@ def sellar_problem() -> MdoProblem:
             Discipline("f2", produces=[1], consumes=[0], fn=f2),
         ),
         objective=objective,
-        reference=ReferenceSolution(z=np.array([0.0, 2.6345, 0.0]), objective=-2.8085),
+        reference=ReferenceSolution(z=np.array([0.0, 2.634496312631203, 0.0]), objective=-2.808522219447104),
     )
 
 

@@ -149,7 +149,7 @@ def judge_study(cfg: ExperimentConfig, *record_sets):
     ``range(cfg.repeat)`` and every replicate with a record, so a failed replicate counts as a run not converged.
     """
     with build_problem(cfg) as problem:
-        reference = resolve_reference(problem, recompute=cfg.recompute_reference)
+        reference = resolve_reference(problem)
         judged = [{r.replicate: (r, *judge_record(problem, r, reference)) for r in records} for records in record_sets]
     return problem, reference, judged, sorted(set(range(cfg.repeat)).union(*judged))
 
@@ -161,7 +161,7 @@ def summarize_study(cfg: ExperimentConfig, records) -> StudySummary:
 
 
 def resolve_reference(problem: MdoProblem, recompute: bool = False, tolerance: float = REFERENCE_TOL) -> ReferenceSolution:
-    """Shipped reference optimum, or a fresh exhaustive solve of the true problem."""
+    """The shipped reference (a re-solve at ``REFERENCE_TOL``), or a fresh exhaustive solve of the true problem."""
     if problem.reference is not None and not recompute:
         return problem.reference
     objective = penalized_mdo_objective(problem.disciplines, problem, MdaConfig.reference(tolerance))

@@ -68,6 +68,7 @@ RETIRED_SETTINGS = {
     "gp_restarts": DEFAULT_RESTARTS,
     "de_window": DeConfig.window,
     "de_tol": DeConfig.tol,
+    "recompute_reference": False,  # a run is judged by its problem's full-precision reference
 }
 # The problems ``study.build_problem`` builds; ``external`` also needs ``external_cmd``.
 PROBLEMS = ("toy", "sellar", "external")
@@ -94,12 +95,10 @@ class ExperimentConfig:
     out: str = "runs"
     workers: int | None = None
     de_max_generations: int = DeConfig.max_generations
-    recompute_reference: bool = False
 
     def __post_init__(self):
-        # A config file can give any setting any JSON type; a string "false" is truthy, and a bool is an int.
+        # A config file can give any setting any JSON type.
         for name, wanted, ok in (
-            ("recompute_reference", "true or false", isinstance(self.recompute_reference, bool)),
             ("out", "a string", isinstance(self.out, str)),
             ("external_cmd", "a string or null", self.external_cmd is None or isinstance(self.external_cmd, str)),
         ):

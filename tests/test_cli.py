@@ -559,25 +559,38 @@ class TestReferenceCommand:
         code = main(["reference", "--problem", "sellar"])
         assert code == 0
         printed = capsys.readouterr().out
-        assert "-2.8085" in printed and "2.6345" in printed
+        assert "-2.808522" in printed and "2.634496" in printed
 
-    def test_recompute_reference_that_is_not_a_bool_is_one_error_line(self, tmp_path, capsys):
-        # The string "false" is truthy: unchecked, it re-solves the reference instead of printing the shipped one.
+    def test_recompute_reference_in_config_file_is_an_unknown_setting(self, tmp_path, capsys):
+        # Runs are judged by the shipped full-precision reference, so no config can ask for a re-solve.
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"problem": "toy", "recompute_reference": "false"}))
-        with pytest.raises(SystemExit) as exc:
-            main(["reference", "--config", str(cfg_file)])
-        assert exc.value.code == 2
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "recompute_reference must be true or false" in errors[0]
+        cfg_file.write_text(json.dumps({"problem": "toy", "recompute_reference": False}))
+        for command in ("run", "study", "reference"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg_file), "--out", str(tmp_path / "runs")])
+            assert exc.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and "unknown setting 'recompute_reference'" in errors[0]
+        assert not (tmp_path / "runs").exists()
 
-    def test_recompute_toy_reference(self, capsys):
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_recompute_reference_flag_is_the_reference_commands_own(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", "toy", "--recompute-reference", "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --recompute-reference" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_recompute_toy_reference(self, capsys, monkeypatch):
+        import mdots.study as study_mod
+
+        solves = []
+        de_minimize = study_mod.de_minimize
+        monkeypatch.setattr(study_mod, "de_minimize", lambda *a, **k: solves.append(1) or de_minimize(*a, **k))
         code = main(["reference", "--problem", "toy", "--recompute-reference"])
-        assert code == 0
-        printed = capsys.readouterr().out
-        # recomputed optimum agrees with the shipped constants to table precision
-        value = float(printed.split("objective=")[1])
-        assert abs(value - (-1.1495)) < 2e-3
+        assert code == 0 and len(solves) == 1
+        # the re-solve agrees with the shipped full-precision constants
+        assert capsys.readouterr().out == "problem=toy z_star=[-3.003078] objective=-1.149713\n"
 
 
 class TestRecordCompatibility:

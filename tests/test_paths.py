@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mdots.gp import KernelParams, fit, kernel_matrix, posterior_mean, posterior_variance
-from mdots.paths import _prior_values, draw_path, eval_path, sample_feature_map
+from mdots.paths import ROW_BLOCK, _prior_values, draw_path, eval_path, sample_feature_map
 
 
 def make_surrogate(n=8, seed=0):
@@ -102,6 +102,15 @@ class TestEvalPath:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * block
+
+    def test_batch_past_one_row_block_matches_the_whole_block_expression(self):
+        # Rows go in blocks of ROW_BLOCK; every row of a batch with a partial last block gets its expansion.
+        params = KernelParams(length_scales=[1.0, 1.0], signal_variance=1.0, nugget=1e-7)
+        fm = sample_feature_map(params, 300, np.random.default_rng(10))
+        X = np.random.default_rng(11).uniform(size=(2 * ROW_BLOCK + 7, 2))
+        want = fm.amplitude * (np.cos((X @ fm.thetas.T + fm.taus).astype(np.float32)) @ fm.weights)
+        atol = 1e-12 * fm.amplitude * np.abs(fm.weights).sum()
+        np.testing.assert_allclose(_prior_values(fm, X), want, rtol=0.0, atol=atol)
 
     def test_purity(self):
         s, _, _ = make_surrogate()

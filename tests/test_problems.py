@@ -14,11 +14,27 @@ from mdots.problems import (
     sellar_problem,
     toy_problem,
 )
+from mdots.study import resolve_reference
 
 
 def dropped_points(caplog):
     """The messages of the WARNING records on ``mdots.problems``: one per discipline with dropped DoE points."""
     return [r.getMessage() for r in caplog.records if r.name == "mdots.problems" and r.levelno == logging.WARNING]
+
+
+@pytest.mark.parametrize("make", [toy_problem, sellar_problem])
+class TestShippedReference:
+    def test_is_the_re_solve_at_full_precision(self, make):
+        problem = make()
+        got = resolve_reference(problem, recompute=True)
+        assert got.objective == pytest.approx(problem.reference.objective, rel=1e-9, abs=0.0)
+        width = problem.z_bounds[:, 1] - problem.z_bounds[:, 0]
+        assert np.all(np.abs(got.z - problem.reference.z) <= 1e-4 * width)
+
+    def test_objective_is_the_true_objective_at_its_design(self, make):
+        problem = make()
+        f, _ = problem.true_objective(problem.reference.z)
+        assert f == pytest.approx(problem.reference.objective, rel=1e-12, abs=0.0)
 
 
 class TestToyProblem:
@@ -42,10 +58,14 @@ class TestToyProblem:
         problem = toy_problem()
         assert problem.d_z == 1 and problem.d_y == 2
         np.testing.assert_array_equal(problem.z_bounds, [[-5.0, 5.0]])
-        assert problem.reference.objective == -1.1495
+        assert problem.reference.objective == -1.1497129843267646
 
 
 class TestSellarProblem:
+    def test_reference_components_on_their_lower_bound_are_exact(self):
+        # summary.csv gives no percent error for a zero reference component, and would for a re-solve's 1e-12.
+        assert sellar_problem().reference.z[[0, 2]].tolist() == [0.0, 0.0]
+
     def test_first_discipline_at_reference(self):
         problem = sellar_problem()
         out = problem.disciplines[0].fn(np.array([[0.0, 2.6345, 0.0]]), np.array([[5.0690]]))

@@ -51,6 +51,7 @@ OLD_HEADER_SETTINGS = {
     "mda_tol": 0.01,
     "de_window": 20,
     "de_tol": 1e-6,
+    "recompute_reference": False,
 }
 
 
@@ -229,7 +230,6 @@ class TestRelaunch:
             "out",
             "workers",
             "de_max_generations",
-            "recompute_reference",
         ]
 
     def test_unknown_config_key_is_named(self):
@@ -242,13 +242,15 @@ class TestRelaunch:
         record = small_record(seed=5)
         old = dataclasses.replace(record, config={**record.config, **OLD_HEADER_SETTINGS})
         assert records_equal(record, run_from_record(old))
-        save_run_record(old, str(tmp_path / "run_0.ndjson"))
-        assert main(["report", str(tmp_path)]) == 0
+        save_run_record(old, str(tmp_path / "old" / "run_0.ndjson"))
+        save_run_record(record, str(tmp_path / "new" / "run_0.ndjson"))
+        assert main(["report", str(tmp_path / "old")]) == 0
+        assert main(["compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
 
     def test_retired_setting_off_its_constant_is_refused(self):
         record = small_record(seed=5)
         for name, value in (("de_mutation", 0.5), ("gp_restarts", 1), ("mda_tol", 0.001), ("de_window", 40),
-                            ("de_tol", 1e-8)):
+                            ("de_tol", 1e-8), ("recompute_reference", True)):
             old = dataclasses.replace(record, config={**record.config, **OLD_HEADER_SETTINGS, name: value})
             with pytest.raises(ValueError, match=f"retired setting '{name}'"):
                 run_from_record(old)

@@ -154,7 +154,7 @@ class TestRunBudget:
             {"n_features": "100"},
             {"n_doe": "4"},
             {"seed": None},
-            {"recompute_reference": "false"},
+            {"out": None},
             {"out": 5},
             {"external_cmd": 5},
         ],
